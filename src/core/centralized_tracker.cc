@@ -17,8 +17,7 @@ CentralizedTracker::CentralizedTracker(const TrackerConfig& config)
 }
 
 Status CentralizedTracker::Observe(int site, const TimedRow& row) {
-  DSWM_RETURN_NOT_OK(
-      ValidateObserve(site, config_.num_sites, row.timestamp));
+  DSWM_RETURN_NOT_OK(ValidateObserve(site, config_.num_sites, row));
   channel_->AdvanceTime(row.timestamp);
   net::RowUploadMsg msg;  // row + timestamp: d + 1 words
   msg.values = row.values;

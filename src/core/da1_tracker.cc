@@ -109,8 +109,8 @@ void Da1Tracker::MaybeReport(int site, SiteState* st, Timestamp /*t*/) {
 }
 
 Status Da1Tracker::Observe(int site, const TimedRow& row) {
-  DSWM_RETURN_NOT_OK(ValidateObserve(site, static_cast<int>(sites_.size()),
-                                     row.timestamp));
+  DSWM_RETURN_NOT_OK(
+      ValidateObserve(site, static_cast<int>(sites_.size()), row));
   AdvanceTime(row.timestamp);
 
   SiteState& st = sites_[site];

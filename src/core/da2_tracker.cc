@@ -141,8 +141,8 @@ void Da2Tracker::ProcessBoundary(int site, SiteState* st, Timestamp boundary) {
 }
 
 Status Da2Tracker::Observe(int site, const TimedRow& row) {
-  DSWM_RETURN_NOT_OK(ValidateObserve(site, static_cast<int>(sites_.size()),
-                                     row.timestamp));
+  DSWM_RETURN_NOT_OK(
+      ValidateObserve(site, static_cast<int>(sites_.size()), row));
   AdvanceTime(row.timestamp);
 
   SiteState& st = sites_[site];

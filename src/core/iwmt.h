@@ -10,18 +10,29 @@
 // (l+1)).
 //
 // Realization: keep an FD sketch of the *unreported* rows. When the
-// residual's top squared singular value can have reached theta (tracked
-// lazily: last exact top + mass appended since), decompose the small
+// residual's top squared singular value reaches theta, decompose the small
 // residual and emit every direction sigma_i v_i with sigma_i^2 >= theta/2,
 // removing them from the residual. Each emitted direction carries >=
 // theta/2 squared mass, so a window of mass F emits O(F/theta) directions
 // -- O(d/eps) words at theta = eps * F_hat^2.
+//
+// Trigger (DESIGN.md item 5): after every rebuild of the residual (an
+// emission, a decomposition that found nothing to emit, or an FD shrink)
+// its covariance is kept factored as V^T diag(sigma^2) V with orthonormal
+// rows v_i. The m rows appended since only add their projections V f and
+// their dot products with each other. "top < theta" is then exactly the
+// positive definiteness of the m x m Schur complement
+//   I - F M^-1 F^T,  M = theta I - V^T diag(sigma^2) V,
+// which a Cholesky factorization with a safety margin certifies in
+// O(m^2 r + m^3), stopping at the first failing pivot. Only a failed
+// certificate decomposes, and the decomposition decides exactly.
 
 #ifndef DSWM_CORE_IWMT_H_
 #define DSWM_CORE_IWMT_H_
 
 #include <vector>
 
+#include "linalg/matrix.h"
 #include "sketch/frequent_directions.h"
 
 namespace dswm {
@@ -39,8 +50,9 @@ class IwmtProtocol {
   IwmtProtocol(int d, int ell);
 
   /// Consumes a row under threshold `theta` (> 0; may differ between
-  /// calls, e.g. IWMT_c's growing threshold). Emitted directions, if any,
-  /// are appended to *out.
+  /// calls, e.g. IWMT_c's growing threshold). If the residual's top
+  /// squared singular value reaches theta, every direction with
+  /// sigma^2 >= theta/2 is appended to *out; otherwise nothing is.
   void Input(const double* row, double theta, std::vector<IwmtOutput>* out);
 
   /// Emits the entire residual (every remaining direction) and resets the
@@ -51,15 +63,46 @@ class IwmtProtocol {
   /// Squared Frobenius mass currently unreported.
   [[nodiscard]] double unreported_mass() const { return residual_.input_mass(); }
 
-  [[nodiscard]] long SpaceWords() const { return residual_.SpaceWords(); }
+  /// The residual's rows plus the factor the trigger keeps across calls
+  /// (V, sigma^2, the new rows' projections and Gram), counted the way FD
+  /// counts its rows: the part in use. The per-certificate workspace
+  /// (weight_, scaled_, chol_) is scratch, like FD's shrink buffer.
+  [[nodiscard]] long SpaceWords() const;
+
+  /// The unreported residual sketch, read-only.
+  [[nodiscard]] const FrequentDirections& residual() const { return residual_; }
 
  private:
-  void CheckAndEmit(double theta, std::vector<IwmtOutput>* out);
+  void AllocateFactor();
+  void FactorShrunkRows(int rows);
+  void Rebase(int rows);
+  bool CertifiedBelow(double theta);
+  void Decompose(double theta, std::vector<IwmtOutput>* out);
 
   int d_;
   FrequentDirections residual_;
-  double last_top_ = 0.0;         // top sigma^2 at the last decomposition
-  double mass_since_check_ = 0.0; // appended mass since then
+  double last_top_ = 0.0;         // top sigma^2 of the factor
+  double mass_since_check_ = 0.0; // mass appended since the factor
+
+  // Factor of residual rows [0, base_rows_): rank_ orthonormal rows of
+  // basis_ with squared singular values sigma2_. The buffers below are
+  // sized on first use (DA2 builds three protocols per site, and a short
+  // window may never need them).
+  int base_rows_ = 0;
+  int rank_ = 0;
+  Matrix basis_;
+  std::vector<double> sigma2_;
+  // Rows appended since the factor: row a of proj_ is V f_a, row a of
+  // gram_ holds f_a . f_b for b <= a. Filled lazily for the first
+  // projected_ of them, by the certificate.
+  int projected_ = 0;
+  Matrix proj_;
+  Matrix gram_;
+  // Per-certificate workspace: V f_a scaled by sqrt(sigma^2 / (theta -
+  // sigma^2)), and the Cholesky factor.
+  std::vector<double> weight_;
+  Matrix scaled_;
+  Matrix chol_;
 };
 
 }  // namespace dswm

@@ -82,8 +82,12 @@ void SamplingTracker::BroadcastThreshold() {
 }
 
 Status SamplingTracker::Observe(int site, const TimedRow& row) {
-  DSWM_RETURN_NOT_OK(ValidateObserve(site, static_cast<int>(sites_.size()),
-                                     row.timestamp));
+  DSWM_RETURN_NOT_OK(
+      ValidateObserve(site, static_cast<int>(sites_.size()), row));
+  return ObserveChecked(site, row);
+}
+
+Status SamplingTracker::ObserveChecked(int site, const TimedRow& row) {
   AdvanceTime(row.timestamp);
 
   const double w = row.NormSquared();

@@ -79,10 +79,17 @@ class SamplingTracker : public DistributedTracker {
   double MaxOutstandingKey() const;
 
  private:
+  // The WR wrapper checks each row once for all of its samplers.
+  friend class WithReplacementTracker;
+
   struct SiteState {
     SiteSampleQueue queue;
     Rng rng;
   };
+
+  /// Observe() minus its precondition check; only the WR wrapper, which
+  /// ran that check itself, calls it.
+  Status ObserveChecked(int site, const TimedRow& row);
 
   void OnDelivery(net::Delivery d);
   void Maintain();

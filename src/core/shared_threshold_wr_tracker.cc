@@ -70,8 +70,8 @@ void SharedThresholdWrTracker::BroadcastThreshold() {
 }
 
 Status SharedThresholdWrTracker::Observe(int site, const TimedRow& row) {
-  DSWM_RETURN_NOT_OK(ValidateObserve(site, static_cast<int>(sites_.size()),
-                                     row.timestamp));
+  DSWM_RETURN_NOT_OK(
+      ValidateObserve(site, static_cast<int>(sites_.size()), row));
   AdvanceTime(row.timestamp);
 
   const double w = row.NormSquared();

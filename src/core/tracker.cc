@@ -1,5 +1,6 @@
 #include "core/tracker.h"
 
+#include <cmath>
 #include <string>
 
 #include "net/channel.h"
@@ -11,18 +12,36 @@ void DistributedTracker::PumpChannels(Timestamp t) {
 }
 
 Status DistributedTracker::ValidateObserve(int site, int num_sites,
-                                           Timestamp t) {
+                                           const TimedRow& row) {
   if (site < 0 || site >= num_sites) {
     return Status::InvalidArgument("Observe: site " + std::to_string(site) +
                                    " out of range [0, " +
                                    std::to_string(num_sites) + ")");
   }
-  if (t < last_observe_time_) {
+  if (row.timestamp < last_observe_time_) {
     return Status::InvalidArgument(
-        "Observe: timestamp regression (" + std::to_string(t) + " < " +
-        std::to_string(last_observe_time_) + ")");
+        "Observe: timestamp regression (" + std::to_string(row.timestamp) +
+        " < " + std::to_string(last_observe_time_) + ")");
   }
-  last_observe_time_ = t;
+  const int d = Dim();
+  if (row.values.size() != static_cast<size_t>(d)) {
+    return Status::InvalidArgument(
+        "Observe: row has dimension " + std::to_string(row.values.size()) +
+        ", tracker expects " + std::to_string(d));
+  }
+  bool finite = true;
+  for (const double v : row.values) finite &= std::isfinite(v);
+  if (!finite) {
+    return Status::InvalidArgument("Observe: row has a non-finite value");
+  }
+  for (const int j : row.support) {
+    if (j < 0 || j >= d) {
+      return Status::InvalidArgument("Observe: support index " +
+                                     std::to_string(j) + " out of range [0, " +
+                                     std::to_string(d) + ")");
+    }
+  }
+  last_observe_time_ = row.timestamp;
   return Status::OK();
 }
 

@@ -33,14 +33,13 @@ WithReplacementTracker::WithReplacementTracker(const TrackerConfig& config,
 }
 
 Status WithReplacementTracker::Observe(int site, const TimedRow& row) {
-  DSWM_RETURN_NOT_OK(
-      ValidateObserve(site, config_.num_sites, row.timestamp));
+  DSWM_RETURN_NOT_OK(ValidateObserve(site, config_.num_sites, row));
   const double w = row.NormSquared();
   if (w <= 0.0) return Status::OK();
   for (auto& s : samplers_) {
-    // The wrapper's precondition check passed, so the delegated calls
-    // cannot fail (sub-samplers see the same site range and timestamps).
-    DSWM_RETURN_NOT_OK(s->Observe(site, row));
+    // The wrapper's precondition check covers the sub-samplers too (same
+    // site range, timestamps and row), so the row is read only once.
+    DSWM_RETURN_NOT_OK(s->ObserveChecked(site, row));
   }
   DSWM_RETURN_NOT_OK(fnorm_tracker_.Observe(site, w, row.timestamp));
   return Status::OK();

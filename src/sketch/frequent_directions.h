@@ -41,6 +41,13 @@ class FrequentDirections {
   /// Current sketch rows as a row_count() x d matrix (copies).
   [[nodiscard]] Matrix RowsMatrix() const;
 
+  /// Row i < row_count() of the sketch, read in place (valid until the
+  /// next mutating call).
+  [[nodiscard]] const double* Row(int i) const {
+    DSWM_DCHECK_LT(i, count_);
+    return buffer_.Row(i);
+  }
+
   /// B^T B, the d x d covariance estimate.
   [[nodiscard]] Matrix Covariance() const;
 

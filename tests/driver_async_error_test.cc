@@ -37,7 +37,7 @@ class FailAfterTracker : public DistributedTracker {
   }
 
   Status Observe(int site, const TimedRow& row) override {
-    DSWM_RETURN_NOT_OK(ValidateObserve(site, 1 << 20, row.timestamp));
+    DSWM_RETURN_NOT_OK(ValidateObserve(site, 1 << 20, row));
     if (++seen_ > fail_after_) {
       return Status::Internal("injected failure at row " +
                               std::to_string(seen_));

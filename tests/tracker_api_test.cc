@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,36 @@ TEST_P(ObserveErrors, RejectsBadSiteAndTimeRegression) {
   // Equal timestamps and later times remain fine after the rejection.
   EXPECT_TRUE(tracker->Observe(1, RowAt(10, 3)).ok());
   EXPECT_TRUE(tracker->Observe(0, RowAt(11, 3)).ok());
+}
+
+TEST_P(ObserveErrors, RejectsMalformedRowsWithoutStateChange) {
+  auto tracker = SmallTracker(GetParam());
+  ASSERT_TRUE(tracker->Observe(0, RowAt(5, 3)).ok());
+  const long words_before = tracker->Comm().TotalWords();
+  const Matrix cov_before = tracker->Query().Covariance();
+
+  std::vector<TimedRow> bad = {RowAt(20, 2), RowAt(20, 4), RowAt(20, 0)};
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    TimedRow row = RowAt(20, 3);
+    row.values[1] = v;
+    bad.push_back(row);
+  }
+  for (const int j : {-1, 3}) {
+    TimedRow row = RowAt(20, 3);
+    row.support = {0, j};
+    bad.push_back(row);
+  }
+  for (const TimedRow& row : bad) {
+    EXPECT_EQ(tracker->Observe(1, row).code(), StatusCode::kInvalidArgument);
+  }
+
+  // Nothing moved: no message, the same estimate, and the timestamp
+  // watermark did not advance to the rejected rows' time 20.
+  EXPECT_EQ(tracker->Comm().TotalWords(), words_before);
+  EXPECT_EQ(tracker->Query().Covariance(), cov_before);
+  EXPECT_TRUE(tracker->Observe(1, RowAt(6, 3)).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ObserveErrors,

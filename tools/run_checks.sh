@@ -290,6 +290,32 @@ print(f"DA2 wire baseline OK ({got['wire_payload_bytes']} payload bytes, "
 PY
   rm -f "${NET_JSON_TMP}"
 
+  log "IWMT trigger gate (DA2 decompositions per row)"
+  # DA2's IWMT decomposes its residual only when the Schur-complement
+  # certificate cannot show the top eigenvalue is below theta (DESIGN.md
+  # item 5). The old mass-bound trigger decomposed about once per row on
+  # SYNTHETIC's flat spectrum. The count is deterministic, so a fixed
+  # ceiling catches that trigger's return with no timing noise.
+  IWMT_JSON_TMP="$(mktemp /tmp/dswm_iwmt_gate.XXXXXX.json)"
+  "${ROOT}/build-release/tools/dswm_cli" run --dataset synthetic \
+    --algorithm DA2 --epsilon 0.05 --sites 20 --rows 14000 --window 4000 \
+    --seed 1 --queries 2 --metrics-json - | grep '^{' > "${IWMT_JSON_TMP}"
+  python3 - "${IWMT_JSON_TMP}" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    counters = json.load(f)["counters"]
+rows = 14000
+per_row = counters.get("core.iwmt.decompositions", 0) / rows
+skips = counters.get("core.iwmt.certified_skips", 0)
+assert skips > 0, "the IWMT certificate never ran (certified_skips is 0)"
+assert 0 < per_row <= 0.40, (
+    f"IWMT decompositions per row {per_row:.3f} exceed the 0.40 ceiling "
+    "(the certified trigger makes 0.31 on this run)")
+print(f"IWMT trigger OK ({per_row:.3f} decompositions/row, "
+      f"{skips} certified skips)")
+PY
+  rm -f "${IWMT_JSON_TMP}"
+
   log "serving-bench smoke (QPS + latency histogram + metrics invariance)"
   # Three serving-tier claims checked cheaply: the closed-loop load gen
   # sustains a nonzero QPS with zero Status errors, the obs latency
