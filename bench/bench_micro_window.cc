@@ -3,8 +3,8 @@
 // merge/expiry cascades and the sampler refill materialization) at 1 vs
 // N threads. The /1-thread cells are the sequential baseline -- with one
 // thread the batched engine degenerates to the inline sequential loop --
-// so the committed BENCH_micro_window.json pins the batched speedup as a
-// /N-vs-/1 ratio within one file.
+// so the committed bench/BENCH_micro_window.json pins the batched speedup
+// as a /N-vs-/1 ratio within one file.
 
 #include <benchmark/benchmark.h>
 

@@ -71,7 +71,12 @@ void Da1Tracker::MaybeReport(int site, SiteState* st, Timestamp /*t*/) {
 
   ++norm_checks_;
   const int d = config_.dim;
-  const Matrix gap = Subtract(st->c, st->c_hat);
+  // D = C - C_hat, filled into the tracker's scratch rather than a fresh
+  // d x d matrix per check: the first check allocates it, later ones reuse
+  // its storage.
+  gap_ = st->c;
+  gap_.AddScaled(st->c_hat, -1.0);
+  const Matrix& gap = gap_;
   const double gap_norm = SpectralNormSymWarm(
       [&gap](const double* x, double* y) { MatVec(gap, x, y); }, d,
       &st->warm);

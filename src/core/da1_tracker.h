@@ -71,6 +71,7 @@ class Da1Tracker : public DistributedTracker {
   double eps_threshold_;
   std::vector<SiteState> sites_;
   Matrix coordinator_c_hat_;
+  Matrix gap_;  // scratch for D = C - C_hat of the site being checked
   Timestamp now_;
   std::unique_ptr<net::Channel> channel_;
   long decompositions_ = 0;

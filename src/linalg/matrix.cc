@@ -14,6 +14,39 @@
 
 namespace dswm {
 
+#if defined(__AVX__)
+namespace {
+
+// (lo[0], lo[1], hi[0], hi[1]) from two 128-bit loads.
+inline __m256d LoadHalves(const double* lo, const double* hi) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(lo)),
+                              _mm_loadu_pd(hi), 1);
+}
+
+// acc += (r0[q], r1[q], r2[q], r3[q]) * x[q] for q = 0, 1, 2, 3 in turn:
+// one lane per row, each lane a multiply then an add per step. The 4 x 4
+// register transpose pairs half-rows of r0/r2 and r1/r3 and unpacks them.
+inline __m256d AccumulateRows4(__m256d acc, const double* r0,
+                               const double* r1, const double* r2,
+                               const double* r3, const double* x) {
+  const __m256d a01 = LoadHalves(r0, r2);          // r0[0] r0[1] r2[0] r2[1]
+  const __m256d b01 = LoadHalves(r1, r3);          // r1[0] r1[1] r3[0] r3[1]
+  const __m256d a23 = LoadHalves(r0 + 2, r2 + 2);  // r0[2] r0[3] r2[2] r2[3]
+  const __m256d b23 = LoadHalves(r1 + 2, r3 + 2);  // r1[2] r1[3] r3[2] r3[3]
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_unpacklo_pd(a01, b01),
+                                         _mm256_broadcast_sd(x)));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_unpackhi_pd(a01, b01),
+                                         _mm256_broadcast_sd(x + 1)));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_unpacklo_pd(a23, b23),
+                                         _mm256_broadcast_sd(x + 2)));
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_unpackhi_pd(a23, b23),
+                                         _mm256_broadcast_sd(x + 3)));
+  return acc;
+}
+
+}  // namespace
+#endif
+
 Matrix Matrix::Identity(int d) {
   Matrix m(d, d);
   for (int i = 0; i < d; ++i) m(i, i) = 1.0;
@@ -50,10 +83,7 @@ double Matrix::FrobeniusNormSquared() const {
 void Matrix::AddScaled(const Matrix& other, double alpha) {
   DSWM_CHECK_EQ(rows_, other.rows_);
   DSWM_CHECK_EQ(cols_, other.cols_);
-  const double* src = other.data();
-  double* dst = data();
-  const size_t n = data_.size();
-  for (size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
+  for (int i = 0; i < rows_; ++i) Axpy(alpha, other.Row(i), Row(i), cols_);
 }
 
 void Matrix::AddOuterProduct(const double* v, double alpha) {
@@ -61,8 +91,7 @@ void Matrix::AddOuterProduct(const double* v, double alpha) {
   for (int i = 0; i < rows_; ++i) {
     const double vi = alpha * v[i];
     if (vi == 0.0) continue;
-    double* row = Row(i);
-    for (int j = 0; j < cols_; ++j) row[j] += vi * v[j];
+    Axpy(vi, v, Row(i), cols_);
   }
 }
 
@@ -90,7 +119,16 @@ double NormSquared(const double* x, int n) {
 }
 
 void Axpy(double alpha, const double* x, double* y, int n) {
-  for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
+  int i = 0;
+#if defined(__AVX__)
+  // Per lane the multiply, then the add, of the scalar tail statement.
+  const __m256d va = _mm256_set1_pd(alpha);
+  for (; i + 4 <= n; i += 4) {
+    const __m256d p = _mm256_mul_pd(va, _mm256_loadu_pd(x + i));
+    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), p));
+  }
+#endif
+  for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
 void Scale(double* x, int n, double alpha) {
@@ -98,7 +136,42 @@ void Scale(double* x, int n, double alpha) {
 }
 
 void MatVec(const Matrix& a, const double* x, double* y) {
-  for (int i = 0; i < a.rows(); ++i) y[i] = Dot(a.Row(i), x, a.cols());
+  const int m = a.rows();
+  const int n = a.cols();
+  int i = 0;
+#if defined(__AVX__)
+  // Eight rows per block, one row per lane of two accumulators. Each lane
+  // runs Dot's chain -- from 0.0, add row[k] * x[k] for ascending k -- so
+  // y is bit-identical to the per-row Dot of the tail loop, with two
+  // independent vector chains in flight instead of one scalar chain.
+  for (; i + 8 <= m; i += 8) {
+    const double* r0 = a.Row(i);
+    const double* r1 = a.Row(i + 1);
+    const double* r2 = a.Row(i + 2);
+    const double* r3 = a.Row(i + 3);
+    const double* r4 = a.Row(i + 4);
+    const double* r5 = a.Row(i + 5);
+    const double* r6 = a.Row(i + 6);
+    const double* r7 = a.Row(i + 7);
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    int k = 0;
+    for (; k + 4 <= n; k += 4) {
+      acc0 = AccumulateRows4(acc0, r0 + k, r1 + k, r2 + k, r3 + k, x + k);
+      acc1 = AccumulateRows4(acc1, r4 + k, r5 + k, r6 + k, r7 + k, x + k);
+    }
+    for (; k < n; ++k) {
+      const __m256d xk = _mm256_broadcast_sd(x + k);
+      const __m256d lo = _mm256_set_pd(r3[k], r2[k], r1[k], r0[k]);
+      const __m256d hi = _mm256_set_pd(r7[k], r6[k], r5[k], r4[k]);
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(lo, xk));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(hi, xk));
+    }
+    _mm256_storeu_pd(y + i, acc0);
+    _mm256_storeu_pd(y + i + 4, acc1);
+  }
+#endif
+  for (; i < m; ++i) y[i] = Dot(a.Row(i), x, n);
 }
 
 void MatTVec(const Matrix& a, const double* x, double* y) {

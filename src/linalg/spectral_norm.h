@@ -4,7 +4,7 @@
 // magnitude of a symmetric (generally indefinite) d x d matrix. Power
 // iteration converges to the dominant |lambda| at O(d^2) per step, which is
 // what the benchmark driver and DA1's threshold check use instead of a full
-// O(d^3) Jacobi decomposition.
+// O(d^3) SymmetricEigen decomposition (tridiagonalization + QL).
 
 #ifndef DSWM_LINALG_SPECTRAL_NORM_H_
 #define DSWM_LINALG_SPECTRAL_NORM_H_

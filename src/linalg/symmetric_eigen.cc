@@ -5,11 +5,61 @@
 #include <cmath>
 #include <numeric>
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 #include "obs/metrics.h"
 
 namespace dswm {
 
 namespace {
+
+// Row kernels of the d x d path, next to Axpy (linalg/matrix.h). Each
+// output element gets exactly the operations of the scalar statement in
+// the tail loop, in the same order: the AVX bodies are per-lane IEEE
+// multiply/add/subtract (this file is built with -mavx, never -mfma), so
+// the AVX and scalar bodies agree bit for bit. The scalar loop is the tail
+// and, in a non-AVX build, the whole body.
+
+// tred2's rank-2 row update: row[k] -= f * w[k] + g * v[k], k in [0, n).
+inline void Rank2Row(double f, double g, const double* w, const double* v,
+                     double* row, int n) {
+  int k = 0;
+#if defined(__AVX__)
+  const __m256d vf = _mm256_set1_pd(f);
+  const __m256d vg = _mm256_set1_pd(g);
+  for (; k + 4 <= n; k += 4) {
+    const __m256d s =
+        _mm256_add_pd(_mm256_mul_pd(vf, _mm256_loadu_pd(w + k)),
+                      _mm256_mul_pd(vg, _mm256_loadu_pd(v + k)));
+    _mm256_storeu_pd(row + k, _mm256_sub_pd(_mm256_loadu_pd(row + k), s));
+  }
+#endif
+  for (; k < n; ++k) row[k] -= f * w[k] + g * v[k];
+}
+
+// Givens rotation of two rows: (x, y) <- (c x - s y, s x + c y).
+inline void RotateRows(double s, double c, double* x, double* y, int n) {
+  int k = 0;
+#if defined(__AVX__)
+  const __m256d vs = _mm256_set1_pd(s);
+  const __m256d vc = _mm256_set1_pd(c);
+  for (; k + 4 <= n; k += 4) {
+    const __m256d xk = _mm256_loadu_pd(x + k);
+    const __m256d yk = _mm256_loadu_pd(y + k);
+    _mm256_storeu_pd(y + k, _mm256_add_pd(_mm256_mul_pd(vs, xk),
+                                          _mm256_mul_pd(vc, yk)));
+    _mm256_storeu_pd(x + k, _mm256_sub_pd(_mm256_mul_pd(vc, xk),
+                                          _mm256_mul_pd(vs, yk)));
+  }
+#endif
+  for (; k < n; ++k) {
+    const double f = y[k];
+    y[k] = s * x[k] + c * f;
+    x[k] = c * x[k] - s * f;
+  }
+}
 
 // Sum of squares of strictly-off-diagonal entries.
 double OffDiagonalMass(const Matrix& a) {
@@ -42,41 +92,48 @@ void Tridiagonalize(Matrix* a_ptr, std::vector<double>* diag,
     double h = 0.0;
     double scale = 0.0;
     if (l > 0) {
-      for (int k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
+      double* const v = a.Row(i);
+      for (int k = 0; k <= l; ++k) scale += std::fabs(v[k]);
       if (scale == 0.0) {
         // Row already annihilated; nothing to reflect.
-        e[i] = a(i, l);
+        e[i] = v[l];
       } else {
         // Scaled Householder vector, stored in row i of `a`.
         for (int k = 0; k <= l; ++k) {
-          a(i, k) /= scale;
-          h += a(i, k) * a(i, k);
+          v[k] /= scale;
+          h += v[k] * v[k];
         }
-        double f = a(i, l);
+        double f = v[l];
         double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
         e[i] = scale * g;
         h -= f * g;
-        a(i, l) = f - g;
-        // p = A v / h accumulated into e[0..l]; f = v^T p.
+        v[l] = f - g;
+        // p = A v / h into e[0..l]; f = v^T p. Only the lower triangle of
+        // A is live, so p_j = sum_k v_k * (k <= j ? a(j,k) : a(k,j)), one
+        // chain from 0.0 over ascending k. Its row part (k <= j) runs per
+        // j; the column part (k > j) is then added row by row, k
+        // ascending, so A is read along rows and each chain keeps its
+        // order.
+        for (int j = 0; j <= l; ++j) {
+          const double* aj = a.Row(j);
+          g = 0.0;
+          for (int k = 0; k <= j; ++k) g += aj[k] * v[k];
+          e[j] = g;
+        }
+        for (int k = 1; k <= l; ++k) Axpy(v[k], a.Row(k), e.data(), k);
         f = 0.0;
         for (int j = 0; j <= l; ++j) {
-          a(j, i) = a(i, j) / h;
-          g = 0.0;
-          for (int k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-          for (int k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
-          e[j] = g / h;
-          f += e[j] * a(i, j);
+          a(j, i) = v[j] / h;
+          e[j] /= h;
+          f += e[j] * v[j];
         }
-        // w = p - (v^T p / 2h) v, then the rank-2 update on the lower
-        // triangle of the leading block.
+        // w = p - (v^T p / 2h) v, then the rank-2 update
+        // a(j,k) -= v_j w_k + w_j v_k on the lower triangle of the leading
+        // block. Row j reads w only at k <= j, so every w is formed first.
         const double hh = f / (h + h);
+        for (int j = 0; j <= l; ++j) e[j] -= hh * v[j];
         for (int j = 0; j <= l; ++j) {
-          f = a(i, j);
-          g = e[j] - hh * f;
-          e[j] = g;
-          for (int k = 0; k <= j; ++k) {
-            a(j, k) -= f * e[k] + g * a(i, k);
-          }
+          Rank2Row(v[j], e[j], e.data(), v, a.Row(j), j + 1);
         }
       }
     } else {
@@ -86,14 +143,23 @@ void Tridiagonalize(Matrix* a_ptr, std::vector<double>* diag,
   }
   d[0] = 0.0;
   e[0] = 0.0;
-  // Accumulate the product of the reflectors into `a` (columns of Q).
+  // Accumulate the product of the reflectors into `a` (columns of Q): for
+  // each j < i, g_j = sum_k a(i,k) a(k,j), then column j -= g_j * column
+  // i. Column j's update writes nothing a later g_j' reads (row i and
+  // column j' lie outside it), so every g_j is summed first, by row-wise
+  // axpys with each chain still ascending in k, and the update then runs
+  // row by row. It is an Axpy by -a(k,i): IEEE defines x - y as x + (-y),
+  // and negating a product is exact, so each element is unchanged.
+  std::vector<double> g(n);
   for (int i = 0; i < n; ++i) {
     const int l = i - 1;
     if (d[i] != 0.0) {
-      for (int j = 0; j <= l; ++j) {
-        double g = 0.0;
-        for (int k = 0; k <= l; ++k) g += a(i, k) * a(k, j);
-        for (int k = 0; k <= l; ++k) a(k, j) -= g * a(k, i);
+      std::fill(g.begin(), g.begin() + i, 0.0);
+      const double* ai = a.Row(i);
+      for (int k = 0; k <= l; ++k) Axpy(ai[k], a.Row(k), g.data(), i);
+      for (int k = 0; k <= l; ++k) {
+        double* ak = a.Row(k);
+        Axpy(-ak[i], g.data(), ak, i);
       }
     }
     d[i] = a(i, i);
@@ -107,8 +173,8 @@ void Tridiagonalize(Matrix* a_ptr, std::vector<double>* diag,
 
 // Implicit-shift QL iteration on the tridiagonal (diag, sub). `zt` holds
 // the accumulated transformation with basis vectors as ROWS (zt = Q^T),
-// so the Givens updates rotate contiguous row pairs -- this O(d^3) loop
-// is the hot path and vectorizes. Returns false if an eigenvalue fails
+// so each Givens update rotates a contiguous row pair (RotateRows) -- the
+// O(d^3) hot path of the decomposition. Returns false if an eigenvalue fails
 // to converge within the iteration cap (then the caller falls back to
 // Jacobi; QL failure is essentially theoretical for symmetric input).
 bool TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
@@ -160,13 +226,7 @@ bool TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        double* zi = zt.Row(i);
-        double* zi1 = zt.Row(i + 1);
-        for (int k = 0; k < n; ++k) {
-          f = zi1[k];
-          zi1[k] = s * zi[k] + c * f;
-          zi[k] = c * zi[k] - s * f;
-        }
+        RotateRows(s, c, zt.Row(i), zt.Row(i + 1), n);
       }
       if (r == 0.0 && i >= l) continue;
       d[l] -= p;

@@ -31,8 +31,9 @@ struct EigenResult {
 [[nodiscard]] EigenResult SymmetricEigen(const Matrix& a);
 
 /// Largest eigenvalue magnitude max_i |lambda_i|, i.e. the spectral norm of
-/// a symmetric matrix, computed exactly via Jacobi. Prefer
-/// SpectralNormSym (spectral_norm.h) in hot paths.
+/// a symmetric matrix, computed exactly from a full SymmetricEigen
+/// decomposition (tridiagonal QL). Prefer SpectralNormSym (spectral_norm.h)
+/// in hot paths.
 [[nodiscard]] double SpectralNormExact(const Matrix& a);
 
 }  // namespace dswm

@@ -5,16 +5,28 @@
 // reductions longer than the kKc=256 k-block. The *Threaded tests assert
 // the same bitwise identity at 4 threads (row-tile distribution must not
 // change any accumulation order).
+//
+// The d x d kernels (SymmetricEigen's tred2/QL, MatVec, AddOuterProduct,
+// AddScaled) are checked against test-local scalar oracles: the loop
+// bodies those kernels had before they were vectorized. Every output
+// element must come from the same IEEE operations in the same order, so
+// eigenvalues and eigenvectors are compared with memcmp.
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
+#include "linalg/symmetric_eigen.h"
 
 namespace dswm {
 namespace {
@@ -175,6 +187,361 @@ TEST(KernelEquivalence, MatMulSpecialValuesSurviveBlocking) {
   EXPECT_TRUE(std::isnan(c(0, 2)) == std::isnan(r(0, 2)));
   EXPECT_TRUE(std::isnan(c(1, 3)));
 }
+
+// ---- Scalar oracles for the d x d kernels ----------------------------------
+//
+// Verbatim copies of the scalar loops the vectorized kernels replaced.
+
+// MatVec: one Dot chain per row, from 0.0 over ascending k.
+void OracleMatVec(const Matrix& a, const double* x, double* y) {
+  for (int i = 0; i < a.rows(); ++i) {
+    const double* row = a.Row(i);
+    double s = 0.0;
+    for (int k = 0; k < a.cols(); ++k) s += row[k] * x[k];
+    y[i] = s;
+  }
+}
+
+void OracleAddOuterProduct(Matrix* m, const double* v, double alpha) {
+  for (int i = 0; i < m->rows(); ++i) {
+    const double vi = alpha * v[i];
+    if (vi == 0.0) continue;
+    double* row = m->Row(i);
+    for (int j = 0; j < m->cols(); ++j) row[j] += vi * v[j];
+  }
+}
+
+void OracleAddScaled(Matrix* m, const Matrix& other, double alpha) {
+  double* dst = m->data();
+  const double* src = other.data();
+  const size_t n = static_cast<size_t>(m->rows()) * m->cols();
+  for (size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
+}
+
+// tred2 with the column-strided p = A v and Q accumulation.
+void OracleTridiagonalize(Matrix* a_ptr, std::vector<double>* diag,
+                          std::vector<double>* sub) {
+  Matrix& a = *a_ptr;
+  const int n = a.rows();
+  std::vector<double>& d = *diag;
+  std::vector<double>& e = *sub;
+  d.assign(n, 0.0);
+  e.assign(n, 0.0);
+  for (int i = n - 1; i > 0; --i) {
+    const int l = i - 1;
+    double h = 0.0;
+    double scale = 0.0;
+    if (l > 0) {
+      for (int k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
+      if (scale == 0.0) {
+        e[i] = a(i, l);
+      } else {
+        for (int k = 0; k <= l; ++k) {
+          a(i, k) /= scale;
+          h += a(i, k) * a(i, k);
+        }
+        double f = a(i, l);
+        double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
+        e[i] = scale * g;
+        h -= f * g;
+        a(i, l) = f - g;
+        f = 0.0;
+        for (int j = 0; j <= l; ++j) {
+          a(j, i) = a(i, j) / h;
+          g = 0.0;
+          for (int k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
+          for (int k = j + 1; k <= l; ++k) g += a(k, j) * a(i, k);
+          e[j] = g / h;
+          f += e[j] * a(i, j);
+        }
+        const double hh = f / (h + h);
+        for (int j = 0; j <= l; ++j) {
+          f = a(i, j);
+          g = e[j] - hh * f;
+          e[j] = g;
+          for (int k = 0; k <= j; ++k) {
+            a(j, k) -= f * e[k] + g * a(i, k);
+          }
+        }
+      }
+    } else {
+      e[i] = a(i, l);
+    }
+    d[i] = h;
+  }
+  d[0] = 0.0;
+  e[0] = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const int l = i - 1;
+    if (d[i] != 0.0) {
+      for (int j = 0; j <= l; ++j) {
+        double g = 0.0;
+        for (int k = 0; k <= l; ++k) g += a(i, k) * a(k, j);
+        for (int k = 0; k <= l; ++k) a(k, j) -= g * a(k, i);
+      }
+    }
+    d[i] = a(i, i);
+    a(i, i) = 1.0;
+    for (int j = 0; j <= l; ++j) {
+      a(j, i) = 0.0;
+      a(i, j) = 0.0;
+    }
+  }
+}
+
+// Implicit-shift QL with the scalar Givens row rotation.
+bool OracleTridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
+                         Matrix* zt_ptr) {
+  std::vector<double>& d = *diag;
+  std::vector<double>& e = *sub;
+  Matrix& zt = *zt_ptr;
+  const int n = static_cast<int>(d.size());
+  if (n == 0) return true;
+  for (int i = 1; i < n; ++i) e[i - 1] = e[i];
+  e[n - 1] = 0.0;
+  for (int l = 0; l < n; ++l) {
+    int iter = 0;
+    while (true) {
+      int m = l;
+      while (m < n - 1) {
+        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
+        if (std::fabs(e[m]) <= DBL_EPSILON * dd) break;
+        ++m;
+      }
+      if (m == l) break;
+      if (iter++ == 50) return false;
+      double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+      double r = std::hypot(g, 1.0);
+      g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
+      double s = 1.0;
+      double c = 1.0;
+      double p = 0.0;
+      int i = m - 1;
+      for (; i >= l; --i) {
+        double f = s * e[i];
+        const double b = c * e[i];
+        r = std::hypot(f, g);
+        e[i + 1] = r;
+        if (r == 0.0) {
+          d[i + 1] -= p;
+          e[m] = 0.0;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        double* zi = zt.Row(i);
+        double* zi1 = zt.Row(i + 1);
+        for (int k = 0; k < n; ++k) {
+          f = zi1[k];
+          zi1[k] = s * zi[k] + c * f;
+          zi[k] = c * zi[k] - s * f;
+        }
+      }
+      if (r == 0.0 && i >= l) continue;
+      d[l] -= p;
+      e[l] = g;
+      e[m] = 0.0;
+    }
+  }
+  return true;
+}
+
+// SymmetricEigen's QL path end to end: symmetrize, tred2, transpose, QL,
+// descending sort. Returns false if QL did not converge (the production
+// code would fall back to Jacobi; no input here gets near that).
+bool OracleSymmetricEigen(const Matrix& input, EigenResult* out) {
+  const int d = input.rows();
+  Matrix a(d, d);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j < d; ++j) a(i, j) = 0.5 * (input(i, j) + input(j, i));
+  }
+  std::vector<double> diag;
+  std::vector<double> sub;
+  OracleTridiagonalize(&a, &diag, &sub);
+  Matrix zt(d, d);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j < d; ++j) zt(i, j) = a(j, i);
+  }
+  if (!OracleTridiagonalQL(&diag, &sub, &zt)) return false;
+  std::vector<int> order(d);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&diag](int i, int j) { return diag[i] > diag[j]; });
+  out->values.resize(d);
+  out->vectors = Matrix(d, d);
+  for (int i = 0; i < d; ++i) {
+    out->values[i] = diag[order[i]];
+    out->vectors.SetRow(i, zt.Row(order[i]));
+  }
+  return true;
+}
+
+::testing::AssertionResult BitIdenticalVectors(const std::vector<double>& a,
+                                               const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "length " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Matrix SymmetricGaussian(int d, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(d, d);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      const double v = rng.NextGaussian();
+      m(i, j) = v;
+      m(j, i) = v;
+    }
+  }
+  return m;
+}
+
+struct EigenInput {
+  std::string name;
+  Matrix matrix;
+};
+
+// The input families of the d x d path: generic dense, already diagonal
+// (tred2 takes its `scale == 0` branch on every row), zero, rank-1,
+// block-diagonal (zero rows left of each block and QL block splits),
+// slightly asymmetric (the symmetrization matters), and signed zeros.
+std::vector<EigenInput> EigenInputs(int d) {
+  const uint64_t seed = 9000 + static_cast<uint64_t>(d);
+  std::vector<EigenInput> inputs;
+  inputs.push_back({"gaussian", SymmetricGaussian(d, seed)});
+
+  Rng rng(seed + 1);
+  Matrix diagonal(d, d);
+  for (int i = 0; i < d; ++i) diagonal(i, i) = rng.NextGaussian();
+  inputs.push_back({"diagonal", diagonal});
+
+  inputs.push_back({"zero", Matrix(d, d)});
+
+  std::vector<double> u(d);
+  for (double& x : u) x = rng.NextGaussian();
+  Matrix rank1(d, d);
+  rank1.AddOuterProduct(u.data(), 1.5);
+  inputs.push_back({"rank1", rank1});
+
+  const Matrix dense = SymmetricGaussian(d, seed + 2);
+  Matrix blocks(d, d);
+  for (int start = 0, size = 1; start < d; start += size, size = size % 5 + 1) {
+    const int end = std::min(d, start + size);
+    for (int i = start; i < end; ++i) {
+      for (int j = start; j < end; ++j) blocks(i, j) = dense(i, j);
+    }
+  }
+  inputs.push_back({"block_diagonal", blocks});
+
+  Matrix asymmetric = SymmetricGaussian(d, seed + 3);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j < d; ++j) asymmetric(i, j) += 1e-9 * rng.NextGaussian();
+  }
+  inputs.push_back({"slightly_asymmetric", asymmetric});
+
+  Matrix signed_zeros = SymmetricGaussian(d, seed + 4);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      if ((i + 2 * j) % 3 == 0) {
+        signed_zeros(i, j) = -0.0;
+        signed_zeros(j, i) = -0.0;
+      }
+    }
+  }
+  inputs.push_back({"some_negative_zeros", signed_zeros});
+
+  Matrix all_negative_zero(d, d);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j < d; ++j) all_negative_zero(i, j) = -0.0;
+  }
+  inputs.push_back({"all_negative_zero", all_negative_zero});
+  return inputs;
+}
+
+class DenseKernelEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(DenseKernelEquivalence, SymmetricEigenBitIdenticalToScalarOracle) {
+  DSWM_REQUIRE_BITWISE_KERNELS();
+  const int d = GetParam();
+  for (const EigenInput& input : EigenInputs(d)) {
+    SCOPED_TRACE(input.name);
+    EigenResult want;
+    ASSERT_TRUE(OracleSymmetricEigen(input.matrix, &want));
+    const EigenResult got = SymmetricEigen(input.matrix);
+    EXPECT_TRUE(BitIdenticalVectors(got.values, want.values));
+    EXPECT_TRUE(BitIdentical(got.vectors, want.vectors));
+  }
+}
+
+TEST_P(DenseKernelEquivalence, MatVecBitIdenticalToScalarOracle) {
+  DSWM_REQUIRE_BITWISE_KERNELS();
+  const int d = GetParam();
+  // Square, and ragged in both directions (rows not a multiple of the
+  // 8-row block, columns not a multiple of the 4-wide transpose).
+  for (const auto& [rows, cols] : {std::pair{d, d}, std::pair{d + 5, d + 3},
+                                   std::pair{d + 8, 1}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    Rng rng(77 + static_cast<uint64_t>(d));
+    std::vector<double> x(cols);
+    for (double& xk : x) xk = rng.NextGaussian();
+    for (const EigenInput& input : EigenInputs(std::max(rows, cols))) {
+      SCOPED_TRACE(input.name);
+      Matrix a(rows, cols);
+      for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < cols; ++j) a(i, j) = input.matrix(i, j);
+      }
+      std::vector<double> got(rows, 1.0);
+      std::vector<double> want(rows, 2.0);
+      MatVec(a, x.data(), got.data());
+      OracleMatVec(a, x.data(), want.data());
+      EXPECT_TRUE(BitIdenticalVectors(got, want));
+    }
+  }
+}
+
+TEST_P(DenseKernelEquivalence, RankOneAndScaledUpdatesBitIdenticalToOracle) {
+  DSWM_REQUIRE_BITWISE_KERNELS();
+  const int d = GetParam();
+  for (const EigenInput& input : EigenInputs(d)) {
+    SCOPED_TRACE(input.name);
+    // v mixes zeros (skipped rows), signed zeros and Gaussian entries.
+    Rng rng(31 + static_cast<uint64_t>(d));
+    std::vector<double> v(d);
+    for (int i = 0; i < d; ++i) {
+      v[i] = (i % 4 == 1) ? 0.0 : (i % 4 == 2) ? -0.0 : rng.NextGaussian();
+    }
+    Matrix got = input.matrix;
+    Matrix want = input.matrix;
+    for (const double alpha : {1.0, -0.75, 1e-300}) {
+      got.AddOuterProduct(v.data(), alpha);
+      OracleAddOuterProduct(&want, v.data(), alpha);
+      EXPECT_TRUE(BitIdentical(got, want)) << "AddOuterProduct alpha=" << alpha;
+    }
+    const Matrix other = SymmetricGaussian(d, 55 + static_cast<uint64_t>(d));
+    for (const double alpha : {-1.0, 0.3}) {
+      got.AddScaled(other, alpha);
+      OracleAddScaled(&want, other, alpha);
+      EXPECT_TRUE(BitIdentical(got, want)) << "AddScaled alpha=" << alpha;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, DenseKernelEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31,
+                                           43, 127, 128, 129, 200));
 
 }  // namespace
 }  // namespace dswm

@@ -263,17 +263,23 @@ print(f"metrics overhead OK ({overhead:+.2%}: "
 PY
   rm -f "${OVH_OFF_TMP}" "${OVH_ON_TMP}"
 
-  log "net bench smoke (DA2 wire bytes vs baseline)"
+  log "net bench smoke (DA2 and DA1 wire bytes vs baselines)"
   # Serialized bytes per window are exact under loopback (deterministic
-  # protocol, deterministic wire format), so the committed baseline is
+  # protocol, deterministic wire format), so the committed baselines are
   # checked with zero tolerance: any drift is a wire-format or protocol
-  # change and must be re-baselined deliberately.
+  # change and must be re-baselined deliberately. DA1's report decisions
+  # also hang on its d x d kernels (power-iteration norm check,
+  # eigendecomposition, send cut), so a kernel change that flips one of
+  # them changes its word count.
   cmake --build "${ROOT}/build-release" -j "${JOBS}" --target dswm_cli
-  NET_JSON_TMP="$(mktemp /tmp/dswm_net_da2.XXXXXX.json)"
-  "${ROOT}/build-release/tools/dswm_cli" run --dataset synthetic \
-    --algorithm DA2 --epsilon 0.2 --sites 4 --rows 4000 --window 500 \
-    --seed 1 --queries 2 --net-json 1 | grep '^{' > "${NET_JSON_TMP}"
-  python3 - "${NET_JSON_TMP}" "${ROOT}/bench/BENCH_net_da2_bytes.json" <<'PY'
+  for ALG in DA2 DA1; do
+    BASELINE="bench/BENCH_net_${ALG,,}_bytes.json"
+    NET_JSON_TMP="$(mktemp /tmp/dswm_net_${ALG,,}.XXXXXX.json)"
+    "${ROOT}/build-release/tools/dswm_cli" run --dataset synthetic \
+      --algorithm "${ALG}" --epsilon 0.2 --sites 4 --rows 4000 \
+      --window 500 --seed 1 --queries 2 --net-json 1 \
+      | grep '^{' > "${NET_JSON_TMP}"
+    python3 - "${NET_JSON_TMP}" "${ROOT}/${BASELINE}" "${BASELINE}" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     got = json.load(f)
@@ -282,13 +288,15 @@ with open(sys.argv[2]) as f:
 for key in ("algorithm", "total_words", "wire_payload_bytes",
             "wire_transmissions", "payload_bytes_per_window"):
     assert got[key] == want[key], (
-        f"DA2 wire baseline drift in '{key}': got {got[key]!r}, "
-        f"baseline {want[key]!r} -- if intentional, regenerate "
-        "bench/BENCH_net_da2_bytes.json with the command in that file")
-print(f"DA2 wire baseline OK ({got['wire_payload_bytes']} payload bytes, "
+        f"{want['algorithm']} wire baseline drift in '{key}': "
+        f"got {got[key]!r}, baseline {want[key]!r} -- if intentional, "
+        f"regenerate {sys.argv[3]} with the command in that file")
+print(f"{got['algorithm']} wire baseline OK "
+      f"({got['wire_payload_bytes']} payload bytes, "
       f"{got['payload_bytes_per_window']} per window)")
 PY
-  rm -f "${NET_JSON_TMP}"
+    rm -f "${NET_JSON_TMP}"
+  done
 
   log "IWMT trigger gate (DA2 decompositions per row)"
   # DA2's IWMT decomposes its residual only when the Schur-complement
