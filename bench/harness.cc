@@ -55,9 +55,7 @@ int BenchmarkMain(int argc, char** argv) {
   benchmark::Initialize(&count, args.data());
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
-  // google-benchmark's void Shutdown(), not ProcessSupervisor's
-  // Status-returning one -- the name-based symbol table cannot tell.
-  benchmark::Shutdown();  // dswm-semlint: allow(discarded-status)
+  benchmark::Shutdown();
   return 0;
 }
 

@@ -63,13 +63,12 @@ class DistributedTracker {
 
   /// Transport delivery pump: flushes every channel this tracker owns up
   /// to time `t` (delayed frames, retransmissions) without running any
-  /// protocol maintenance. The lockstep driver never calls it -- trackers
-  /// reach the same flush synchronously inside Observe/AdvanceTime -- but
-  /// an event-driven runtime invokes it at transport due times
-  /// (FaultyChannel::NextDueTime) so deliveries need not wait for the
-  /// next row event. Flushing early is order-preserving: the channels
-  /// deliver in (due-time, enqueue-order) regardless of how the clock
-  /// advances, so the state the next Observe sees is identical.
+  /// protocol maintenance. The driver never calls it -- trackers reach the
+  /// same flush inside Observe/AdvanceTime -- and nothing in src/ does; a
+  /// caller may flush at a channel's due time (FaultyChannel::NextDueTime)
+  /// without waiting for the next row. Flushing early is order-preserving:
+  /// the channels deliver in (due-time, enqueue-order) regardless of how
+  /// the clock advances, so the state the next Observe sees is identical.
   virtual void PumpChannels(Timestamp t);
 
   /// Current space usage, in words, of the most loaded site.

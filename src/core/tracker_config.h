@@ -56,11 +56,11 @@ struct TrackerConfig {
   /// loopback channel; any fault knob selects the fault injector.
   net::NetProfile net;
 
-  /// Transport backend override, installed by a runtime (src/runtime)
-  /// before MakeTracker. Null keeps the default in-process selection
-  /// above. Every sub-protocol channel a tracker constructs goes through
-  /// this hook, so a single assignment moves the whole protocol onto an
-  /// event-queued or cross-process transport.
+  /// Transport backend override, installed before MakeTracker (perfbench
+  /// installs its timed channel this way). Null keeps the default
+  /// in-process selection above. Every sub-protocol channel a tracker
+  /// constructs goes through this hook, so a single assignment moves the
+  /// whole protocol onto another transport.
   net::ChannelBackendFn channel_backend;
 
   /// Derived sample-set size.

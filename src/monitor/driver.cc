@@ -2,9 +2,6 @@
 
 #include <string>
 
-#include "monitor/replay.h"
-#include "monitor/runtime.h"
-
 namespace dswm {
 
 Status DriverOptions::Validate() const {
@@ -19,26 +16,6 @@ Status DriverOptions::Validate() const {
         std::to_string(warmup_fraction));
   }
   return Status::OK();
-}
-
-StatusOr<RunResult> LockstepRuntime::Run(DistributedTracker* tracker,
-                                         const std::vector<TimedRow>& rows,
-                                         int num_sites, Timestamp window,
-                                         const DriverOptions& options) {
-  ReplayHarness replay(tracker, rows, num_sites, window, options);
-  DSWM_RETURN_NOT_OK(replay.Plan());
-  for (int i = 0; i < replay.rows(); ++i) {
-    DSWM_RETURN_NOT_OK(replay.Step(i));
-  }
-  return replay.Finish();
-}
-
-StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
-                               const std::vector<TimedRow>& rows,
-                               int num_sites, Timestamp window,
-                               const DriverOptions& options) {
-  LockstepRuntime runtime;
-  return runtime.Run(tracker, rows, num_sites, window, options);
 }
 
 }  // namespace dswm

@@ -38,9 +38,8 @@ struct DriverOptions {
   /// When non-null, the tracker's estimate is published into this store at
   /// every window-advance boundary (the first row of each window period)
   /// plus once at the end of the run. Publication points depend only on
-  /// row timestamps and the window length, and every runtime drives the
-  /// same ReplayHarness, so the published snapshot bytes are identical
-  /// under lockstep, events, and process -- and under any reader count.
+  /// row timestamps and the window length, so the published snapshot bytes
+  /// are identical under any reader count.
   serve::SnapshotStore* publish_store = nullptr;
 
   /// InvalidArgument unless query_points >= 0 and warmup_fraction is in
@@ -92,17 +91,21 @@ struct RunResult {
 /// uniformly random site in [0, num_sites). `window` must equal the
 /// tracker's configured window.
 ///
+/// This is the one execution model (DESIGN.md section 12): rows are fed in
+/// stream order on the calling thread, and every transport delivery
+/// completes inside the Send that caused it, or, for delayed frames, inside
+/// the Observe/AdvanceTime that reaches its due tick.
+///
 /// Inputs are validated up front -- null tracker, num_sites < 1,
 /// window < 1, invalid options, rows out of time order, or a row whose
 /// dimension differs from tracker->Dim() all return InvalidArgument
 /// without feeding the tracker.
 ///
 /// When the global ThreadPool has more than one thread (--threads /
-/// DSWM_THREADS), query-point error evaluations run concurrently with the
-/// stream replay on snapshots of the exact and approximate state. Results
-/// are folded in query order, so every reported metric is identical to the
-/// single-threaded run; only wall-clock changes. Tracker updates themselves
-/// are causally ordered by the protocol and are never reordered.
+/// DSWM_THREADS), the query-point error evaluations run in parallel as
+/// one batch after the replay, on snapshots of the exact and approximate
+/// state. Results are folded in query order, so every reported metric is
+/// identical to the single-threaded run; only wall-clock changes.
 [[nodiscard]] StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
                                              const std::vector<TimedRow>& rows,
                                              int num_sites, Timestamp window,

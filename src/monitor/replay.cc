@@ -1,21 +1,40 @@
-#include "monitor/replay.h"
+// RunTracker (monitor/driver.h): the lockstep replay of a materialized
+// stream through one tracker. It runs five steps in order:
+//
+//   validate -- reject bad inputs before the tracker sees a row;
+//   plan     -- draw the query points, then one site per row, from the
+//               seeded RNG (this draw order is what every seeded
+//               experiment reproduces);
+//   step     -- feed each row in stream order: Observe at its planned
+//               site, exact-window upkeep, publication at window
+//               boundaries, and a state snapshot at query points;
+//   evaluate -- score every query-point snapshot in one batch;
+//   assemble -- fold errors, ledgers and wire accounting into RunResult.
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "common/check.h"
 #include "common/rng.h"
 #include "linalg/batched.h"
+#include "monitor/driver.h"
 #include "net/channel.h"
 #include "obs/span.h"
 #include "serve/snapshot_store.h"
 #include "sketch/covariance.h"
+#include "window/exact_window.h"
 
 namespace dswm {
 
 namespace {
+
+struct EvalJob {
+  Matrix cov;
+  double fnorm2;
+  CovarianceEstimate estimate;
+};
 
 double EvalError(const Matrix& cov_exact, const CovarianceEstimate& estimate,
                  double fnorm2) {
@@ -71,181 +90,157 @@ Status ValidateRun(const DistributedTracker* tracker,
 
 }  // namespace
 
-ReplayHarness::ReplayHarness(DistributedTracker* tracker,
-                             const std::vector<TimedRow>& rows, int num_sites,
-                             Timestamp window, const DriverOptions& options)
-    : tracker_(tracker),
-      rows_(rows),
-      num_sites_(num_sites),
-      window_(window),
-      options_(options) {}
+StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
+                               const std::vector<TimedRow>& rows,
+                               int num_sites, Timestamp window,
+                               const DriverOptions& options) {
+  DSWM_RETURN_NOT_OK(ValidateRun(tracker, rows, num_sites, window, options));
 
-Status ReplayHarness::Plan() {
-  DSWM_RETURN_NOT_OK(
-      ValidateRun(tracker_, rows_, num_sites_, window_, options_));
-  n_ = static_cast<int>(rows_.size());
-  result_.rows = n_;
-  planned_ = true;
-  if (n_ == 0) return Status::OK();
+  RunResult result;
+  const int n = static_cast<int>(rows.size());
+  result.rows = n;
+  if (n == 0) return result;
 
-  metrics_on_ = obs::Enabled();
-  if (metrics_on_) metrics_base_ = obs::Registry().Snapshot();
+  const bool metrics_on = obs::Enabled();
+  const obs::MetricsSnapshot metrics_base =
+      metrics_on ? obs::Registry().Snapshot() : obs::MetricsSnapshot();
 
-  // Historical draw order (bit-compatibility with every seeded
-  // experiment): all query points first, then one site draw per row. The
-  // in-loop driver interleaved the site draws with observes, but nothing
-  // between draws touched this RNG, so precomputing is draw-for-draw
-  // identical.
-  Rng rng(options_.seed);
-  const int first = std::min(
-      n_ - 1, static_cast<int>(options_.warmup_fraction * n_));
-  is_query_.assign(static_cast<size_t>(n_), false);
-  for (int q = 0; q < options_.query_points; ++q) {
-    is_query_[static_cast<size_t>(
-        first + static_cast<int>(rng.NextBelow(n_ - first)))] = true;
+  // Plan. Draw order (bit-compatibility with every seeded experiment):
+  // all query points first, then one site draw per row.
+  Rng rng(options.seed);
+  const int first =
+      std::min(n - 1, static_cast<int>(options.warmup_fraction * n));
+  std::vector<bool> is_query(static_cast<size_t>(n), false);
+  for (int q = 0; q < options.query_points; ++q) {
+    is_query[static_cast<size_t>(
+        first + static_cast<int>(rng.NextBelow(n - first)))] = true;
   }
-  sites_.resize(static_cast<size_t>(n_));
-  for (int i = 0; i < n_; ++i) {
-    sites_[static_cast<size_t>(i)] =
-        static_cast<int>(rng.NextBelow(num_sites_));
-  }
+  std::vector<int> sites(static_cast<size_t>(n));
+  for (int& site : sites) site = static_cast<int>(rng.NextBelow(num_sites));
 
-  exact_.emplace(tracker_->Dim(), window_);
-  return Status::OK();
-}
+  // Step. Query-point error evaluations are independent of the replay
+  // (each acts on a snapshot of exact + approximate state), so the loop
+  // only collects the snapshots and nothing is in flight if a step fails.
+  ExactWindow exact(tracker->Dim(), window);
+  std::vector<EvalJob> jobs;
+  double tracker_seconds = 0.0;
+  long published_window = -1;
+  const auto publish = [&](Timestamp at) -> Status {
+    obs::Span span("driver.publish");
+    return options.publish_store->Publish(tracker->Query(), at, window);
+  };
+  for (int i = 0; i < n; ++i) {
+    const TimedRow& row = rows[static_cast<size_t>(i)];
+    {
+      obs::Span span("driver.observe", &tracker_seconds);
+      DSWM_RETURN_NOT_OK(tracker->Observe(sites[static_cast<size_t>(i)], row));
+    }
 
-Status ReplayHarness::Step(int i) {
-  DSWM_CHECK(planned_);
-  DSWM_CHECK(i == next_step_);
-  ++next_step_;
-  const TimedRow& row = rows_[static_cast<size_t>(i)];
+    exact.Add(row);
+    exact.Advance(row.timestamp);
 
-  {
-    obs::Span span("driver.observe", &tracker_seconds_);
-    DSWM_RETURN_NOT_OK(tracker_->Observe(site_of(i), row));
-  }
+    if (options.publish_store != nullptr) {
+      // Publish at window-advance boundaries: the first row landing in
+      // each window period triggers a version. The trigger depends only on
+      // the row timestamps and the window length -- never on the channel
+      // backend or any reader -- so the published bytes are deterministic.
+      const long window_index = static_cast<long>(row.timestamp / window);
+      if (window_index > published_window) {
+        published_window = window_index;
+        DSWM_RETURN_NOT_OK(publish(row.timestamp));
+      }
+    }
 
-  exact_->Add(row);
-  exact_->Advance(row.timestamp);
-
-  if (options_.publish_store != nullptr) {
-    // Publish at window-advance boundaries: the first row landing in each
-    // window period triggers a version. The trigger depends only on the
-    // row timestamps and the window length -- never on the runtime, the
-    // channel backend, or any reader -- so lockstep stays the bit-exact
-    // oracle for the published bytes.
-    const long window_index = static_cast<long>(row.timestamp / window_);
-    if (window_index > published_window_) {
-      published_window_ = window_index;
-      DSWM_RETURN_NOT_OK(PublishSnapshot(row.timestamp));
+    if (is_query[static_cast<size_t>(i)]) {
+      obs::Span span("driver.query");
+      CovarianceEstimate estimate = tracker->Query();
+      const long site_space = tracker->MaxSiteSpaceWords();
+      result.max_site_space_words =
+          std::max(result.max_site_space_words, site_space);
+      result.trace.push_back(TraceEntry{row.timestamp, 0.0,
+                                        tracker->Comm().TotalWords(),
+                                        site_space});
+      jobs.push_back(EvalJob{exact.Covariance(), exact.FrobeniusSquared(),
+                             std::move(estimate)});
     }
   }
 
-  if (query_at(i)) {
-    obs::Span span("driver.query");
-    CovarianceEstimate estimate = tracker_->Query();
-    const long site_space = tracker_->MaxSiteSpaceWords();
-    result_.max_site_space_words =
-        std::max(result_.max_site_space_words, site_space);
-    result_.trace.push_back(TraceEntry{row.timestamp, 0.0,
-                                       tracker_->Comm().TotalWords(),
-                                       site_space});
-    jobs_.push_back(EvalJob{exact_->Covariance(), exact_->FrobeniusSquared(),
-                            std::move(estimate)});
-  }
-  return Status::OK();
-}
-
-Status ReplayHarness::PublishSnapshot(Timestamp at) {
-  obs::Span span("driver.publish");
-  return options_.publish_store->Publish(tracker_->Query(), at, window_);
-}
-
-StatusOr<RunResult> ReplayHarness::Finish() {
-  DSWM_CHECK(planned_);
-  if (n_ == 0) return std::move(result_);
-  DSWM_CHECK(next_step_ == n_);
-
   // Final publication: the last window's tail (rows after its boundary
   // publish) becomes queryable as the terminal version.
-  if (options_.publish_store != nullptr) {
-    DSWM_RETURN_NOT_OK(PublishSnapshot(rows_.back().timestamp));
+  if (options.publish_store != nullptr) {
+    DSWM_RETURN_NOT_OK(publish(rows.back().timestamp));
   }
 
-  // Query-point error evaluations are independent of the stream replay
-  // (each acts on a snapshot of exact + approximate state), so the replay
-  // only collects the snapshots; the whole fan-out runs afterwards as one
-  // batch through the batched engine. Slot q belongs to query q and
-  // results fold in query order, so avg/max/trace are identical at any
-  // thread count.
-  std::vector<double> errs(jobs_.size());
+  // Evaluate. The whole fan-out runs as one batch through the batched
+  // engine. Slot q belongs to query q and results fold in query order, so
+  // avg/max/trace are identical at any thread count.
+  std::vector<double> errs(jobs.size());
   {
     obs::Span span("driver.eval");
-    BatchedDispatch(static_cast<int>(jobs_.size()), [this, &errs](int q) {
+    BatchedDispatch(static_cast<int>(jobs.size()), [&jobs, &errs](int q) {
+      const EvalJob& job = jobs[static_cast<size_t>(q)];
       errs[static_cast<size_t>(q)] =
-          EvalError(jobs_[static_cast<size_t>(q)].cov,
-                    jobs_[static_cast<size_t>(q)].estimate,
-                    jobs_[static_cast<size_t>(q)].fnorm2);
+          EvalError(job.cov, job.estimate, job.fnorm2);
     });
   }
-  jobs_.clear();
+  jobs.clear();
 
+  // Assemble.
   double err_sum = 0.0;
   for (size_t q = 0; q < errs.size(); ++q) {
-    result_.trace[q].err = errs[q];
+    result.trace[q].err = errs[q];
     err_sum += errs[q];
-    result_.max_err = std::max(result_.max_err, errs[q]);
+    result.max_err = std::max(result.max_err, errs[q]);
   }
-  result_.avg_err =
+  result.avg_err =
       errs.empty() ? 0.0 : err_sum / static_cast<double>(errs.size());
 
-  const CommStats& comm = tracker_->Comm();
-  result_.total_words = comm.TotalWords();
-  result_.messages = comm.messages;
-  result_.broadcasts = comm.broadcasts;
-  result_.rows_sent = comm.rows_sent;
+  const CommStats& comm = tracker->Comm();
+  result.total_words = comm.TotalWords();
+  result.messages = comm.messages;
+  result.broadcasts = comm.broadcasts;
+  result.rows_sent = comm.rows_sent;
 
   // Wire-level accounting and (optionally) the merged transmission trace,
   // aggregated over every channel the tracker owns.
   std::string trace_text;
-  for (net::Channel* c : tracker_->Channels()) {
-    result_.wire_payload_bytes += c->ledger().TotalPayloadBytes();
-    result_.wire_frame_bytes += c->ledger().TotalFrameBytes();
-    result_.wire_transmissions +=
+  for (net::Channel* c : tracker->Channels()) {
+    result.wire_payload_bytes += c->ledger().TotalPayloadBytes();
+    result.wire_frame_bytes += c->ledger().TotalFrameBytes();
+    result.wire_transmissions +=
         static_cast<long>(c->ledger().entries().size());
-    if (!options_.trace_jsonl.empty()) c->ledger().AppendJsonl(&trace_text);
+    if (!options.trace_jsonl.empty()) c->ledger().AppendJsonl(&trace_text);
   }
-  if (!options_.trace_jsonl.empty()) {
-    result_.trace_status = WriteTextFile(options_.trace_jsonl, trace_text);
+  if (!options.trace_jsonl.empty()) {
+    result.trace_status = WriteTextFile(options.trace_jsonl, trace_text);
   }
 
-  const Timestamp span =
-      rows_.back().timestamp - rows_.front().timestamp + 1;
-  result_.windows_spanned =
-      static_cast<double>(span) / static_cast<double>(window_);
-  result_.words_per_window =
-      result_.windows_spanned > 0
-          ? static_cast<double>(result_.total_words) / result_.windows_spanned
-          : static_cast<double>(result_.total_words);
-  result_.update_rows_per_sec =
-      tracker_seconds_ > 0 ? n_ / tracker_seconds_ : 0.0;
+  const Timestamp span = rows.back().timestamp - rows.front().timestamp + 1;
+  result.windows_spanned =
+      static_cast<double>(span) / static_cast<double>(window);
+  result.words_per_window =
+      result.windows_spanned > 0
+          ? static_cast<double>(result.total_words) / result.windows_spanned
+          : static_cast<double>(result.total_words);
+  result.update_rows_per_sec =
+      tracker_seconds > 0 ? n / tracker_seconds : 0.0;
 
-  if (metrics_on_) {
+  if (metrics_on) {
     // Export the ledger-derived comm/space totals as gauges so one
     // snapshot covers comm + compute + space, then scope the cumulative
     // registry to this run.
     obs::MetricRegistry& reg = obs::Registry();
-    reg.GetGauge("comm.total_words")->Set(result_.total_words);
-    reg.GetGauge("comm.messages")->Set(result_.messages);
-    reg.GetGauge("comm.broadcasts")->Set(result_.broadcasts);
-    reg.GetGauge("comm.rows_sent")->Set(result_.rows_sent);
-    reg.GetGauge("comm.wire_payload_bytes")->Set(result_.wire_payload_bytes);
-    reg.GetGauge("comm.wire_frame_bytes")->Set(result_.wire_frame_bytes);
-    reg.GetGauge("comm.wire_transmissions")->Set(result_.wire_transmissions);
-    reg.GetGauge("space.max_site_words")->Set(result_.max_site_space_words);
-    result_.metrics = reg.Snapshot().DeltaSince(metrics_base_);
+    reg.GetGauge("comm.total_words")->Set(result.total_words);
+    reg.GetGauge("comm.messages")->Set(result.messages);
+    reg.GetGauge("comm.broadcasts")->Set(result.broadcasts);
+    reg.GetGauge("comm.rows_sent")->Set(result.rows_sent);
+    reg.GetGauge("comm.wire_payload_bytes")->Set(result.wire_payload_bytes);
+    reg.GetGauge("comm.wire_frame_bytes")->Set(result.wire_frame_bytes);
+    reg.GetGauge("comm.wire_transmissions")->Set(result.wire_transmissions);
+    reg.GetGauge("space.max_site_words")->Set(result.max_site_space_words);
+    result.metrics = reg.Snapshot().DeltaSince(metrics_base);
   }
-  return std::move(result_);
+  return result;
 }
 
 }  // namespace dswm

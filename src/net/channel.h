@@ -83,8 +83,8 @@ struct Delivery {
   /// Simulation clock when the frame was sent.
   Timestamp sent_at = 0;
   /// The sender channel's per-channel transmission number (from the frame
-  /// header): 1, 2, ... in Send order. Receivers that do not share the
-  /// sender's address space use it to detect reordering and duplication.
+  /// header): 1, 2, ... in Send order. A receiver can detect reordering and
+  /// duplication from it without sharing the sender's state.
   uint64_t sequence = 0;
   WireMessage msg;
 };
@@ -92,11 +92,12 @@ struct Delivery {
 class Channel;
 class FaultyChannel;
 
-/// Factory for an alternative transport implementation: builds the channel
-/// one (sub-)protocol sends through. `salt` decorrelates sub-protocol
-/// fault RNGs exactly as in MakeChannel. Runtimes (src/runtime) install
-/// one of these into TrackerConfig::channel_backend before MakeTracker;
-/// null keeps MakeChannel's default loopback/faulty selection.
+/// Factory for a custom transport implementation: builds the channel one
+/// (sub-)protocol sends through. `salt` decorrelates sub-protocol fault
+/// RNGs exactly as in MakeChannel. A caller that wraps or instruments the
+/// transport (perfbench's timed channel) installs one into
+/// TrackerConfig::channel_backend before MakeTracker; null keeps
+/// MakeChannel's default loopback/faulty selection.
 using ChannelBackendFn = std::function<std::unique_ptr<Channel>(
     const NetProfile& profile, int num_sites, uint64_t salt)>;
 
@@ -130,14 +131,14 @@ class Channel {
   /// Closes the transport. Idempotent. After Close() every Send and every
   /// late delivery (a delayed frame flushed by AdvanceTime) is discarded
   /// and counted (net.send_after_close / net.drop_after_close) -- never a
-  /// crash, so teardown races in asynchronous runtimes are benign.
-  /// Implementations that own OS resources release them here.
+  /// crash, so a handler that closes its own channel is benign. No caller
+  /// in src/ closes a channel; the lifecycle tests pin the contract.
   virtual void Close() { closed_ = true; }
   [[nodiscard]] bool closed() const { return closed_; }
 
   /// The transmission trace. The returned reference is only stable while
   /// no Send/AdvanceTime runs concurrently; callers read it after the run
-  /// quiesces (the driver does so post-WaitIdle).
+  /// quiesces (the driver does so after the replay loop).
   [[nodiscard]] const MessageLedger& ledger() const DSWM_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return ledger_;
@@ -154,10 +155,9 @@ class Channel {
   /// Downcast hook so experiments can flip fault knobs mid-run.
   virtual FaultyChannel* AsFaulty() { return nullptr; }
 
-  /// Transport health. Always OK for the in-process channels; backends
-  /// that own OS resources (src/runtime) report their first
-  /// unrecoverable transport error here, and runtimes surface it after
-  /// the replay quiesces.
+  /// Transport health: a custom backend reports its first unrecoverable
+  /// transport error here. Always OK for the in-process channels, and no
+  /// caller in src/ reads it.
   [[nodiscard]] virtual Status Health() const { return Status::OK(); }
 
  protected:
@@ -169,8 +169,8 @@ class Channel {
 
   /// Implementation hook: decide the fate of one outgoing frame. `bytes`
   /// is the serialized frame exactly as Record accounts for it; it is
-  /// valid only for the duration of the call (backends that cross a
-  /// process boundary write it out before returning; in-process backends
+  /// valid only for the duration of the call (a backend that ships or
+  /// re-parses the frame reads it before returning; in-process backends
   /// ignore it -- they already hold the parsed delivery).
   virtual void Dispatch(Delivery delivery, const FrameInfo& frame,
                         const std::vector<uint8_t>& bytes) = 0;
@@ -192,7 +192,7 @@ class Channel {
   }
 
   /// Simulation clock. Mutated only by AdvanceTime/Send on the driving
-  /// thread (the event loop owns time); not part of the mu_ domain.
+  /// thread (the replay loop owns time); not part of the mu_ domain.
   Timestamp now_ = std::numeric_limits<Timestamp>::min() / 2;
   /// Lifecycle latch; same single-driving-thread domain as now_.
   bool closed_ = false;
@@ -246,10 +246,10 @@ class FaultyChannel final : public Channel {
   }
 
   /// Earliest queued due time, or nothing when no frame is in flight.
-  /// Event-driven schedulers sleep until this instant and then call
-  /// AdvanceTime(due) instead of polling the clock tick by tick; the
-  /// flush order is identical either way (the queue delivers in
-  /// (due, enqueue-order) regardless of how far the clock jumps).
+  /// A caller can jump the clock straight to this instant instead of
+  /// polling tick by tick; the flush order is identical either way (the
+  /// queue delivers in (due, enqueue-order) regardless of how far the
+  /// clock jumps). No caller in src/ uses it; tests pin the contract.
   [[nodiscard]] std::optional<Timestamp> NextDueTime() const
       DSWM_EXCLUDES(fault_mu_) {
     MutexLock lock(fault_mu_);
@@ -299,8 +299,8 @@ std::unique_ptr<Channel> MakeChannel(const NetProfile& profile, int num_sites,
                                      uint64_t salt);
 
 /// The salt mix MakeChannel applies (splitmix64 finalizer). Exposed so
-/// alternative backends (net/backend_registry.h, src/runtime) seed their
-/// fault RNGs identically to the in-process channels.
+/// custom backends (TrackerConfig::channel_backend) seed their fault RNGs
+/// identically to the in-process channels.
 [[nodiscard]] uint64_t MixChannelSeed(uint64_t seed, uint64_t salt);
 
 /// Data-plane kinds are the ones whose loss perturbs the coordinator's

@@ -10,10 +10,9 @@
 //   aux_count x 4-byte i32 (RowUpload sparse-support indices only)
 //
 // `sequence` is the sender channel's monotonically increasing per-channel
-// transmission number (1, 2, ...). It lets an asynchronous transport --
-// the src/runtime socket backend, or any receiver that does not share the
-// sender's address space -- detect reordering, duplication, and loss from
-// the frame alone. Version 0 frames (the pre-sequence layout, where these
+// transmission number (1, 2, ...). It lets any receiver that does not
+// share the sender's state -- a custom channel backend, a trace reader --
+// detect reordering, duplication, and loss from the frame alone. Version 0 frames (the pre-sequence layout, where these
 // two bytes were a zero reserved field) are rejected with a version error,
 // not misparsed.
 //

@@ -17,7 +17,7 @@
 // Error contract: FailedPrecondition before the first publish,
 // InvalidArgument on a dimension mismatch. Queries never mutate snapshot
 // state (the estimate is sealed), so results are bit-identical regardless
-// of metrics, reader count, or runtime.
+// of metrics or reader count.
 
 #ifndef DSWM_SERVE_QUERY_SERVICE_H_
 #define DSWM_SERVE_QUERY_SERVICE_H_

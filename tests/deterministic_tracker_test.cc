@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,12 @@ struct Da2StreamCase {
   int sites;
   Timestamp window;
 };
+
+// Names the case by its fields. The raw-byte dump gtest prints otherwise
+// holds the address of `dataset`, so the ctest name changed every build.
+void PrintTo(const Da2StreamCase& c, std::ostream* os) {
+  *os << c.dataset << " sites=" << c.sites << " window=" << c.window;
+}
 
 class Da2Guarantee : public ::testing::TestWithParam<Da2StreamCase> {};
 

@@ -4,6 +4,7 @@
 // in the stream, and (c) survive failure-injection streams.
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,13 @@ struct GridCase {
   Algorithm algorithm;
   double eps;
 };
+
+// Names the case by its fields. Without a printer gtest dumps the raw
+// bytes, padding included, and CMake's test discovery makes that dump the
+// ctest name, which then changed from build to build.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << AlgorithmName(c.algorithm) << " eps=" << c.eps;
+}
 
 class TrackerGrid : public ::testing::TestWithParam<GridCase> {};
 

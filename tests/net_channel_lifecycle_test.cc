@@ -1,13 +1,12 @@
 // Channel lifecycle edges: send-after-close, a handler that closes its
-// own channel mid-delivery, null handlers, and zero-length-payload
-// frames. These are the teardown and boundary paths asynchronous
-// runtimes exercise; none may crash or corrupt accounting.
+// own channel mid-delivery, late delayed frames after close, null
+// handlers, and zero-length-payload frames. These are the teardown and
+// boundary paths of the transport; none may crash or corrupt accounting.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "net/backend_registry.h"
 #include "net/channel.h"
 #include "net/wire.h"
 
@@ -121,34 +120,6 @@ TEST(ChannelLifecycle, WireSequencesAreGaplessPerChannelAndIndependent) {
   EXPECT_EQ(a_seqs, (std::vector<uint64_t>{1, 2, 3}));
   // Per-channel numbering: b starts at 1 regardless of a's traffic.
   EXPECT_EQ(b_seqs, (std::vector<uint64_t>{1}));
-}
-
-TEST(ChannelLifecycle, RegistryBackendsBuildWorkingChannels) {
-  // "default" obeys the profile (loopback when perfect, faulty when not);
-  // the explicit names force the implementation.
-  NetProfile perfect;
-  NetProfile lossy;
-  lossy.drop = 0.5;
-  lossy.seed = 9;
-
-  auto default_backend = FindChannelBackend("default");
-  ASSERT_TRUE(default_backend.ok());
-  EXPECT_EQ(default_backend.value()(perfect, 2, 0)->AsFaulty(), nullptr);
-  EXPECT_NE(default_backend.value()(lossy, 2, 0)->AsFaulty(), nullptr);
-
-  auto loopback_backend = FindChannelBackend("loopback");
-  ASSERT_TRUE(loopback_backend.ok());
-  EXPECT_EQ(loopback_backend.value()(lossy, 2, 0)->AsFaulty(), nullptr);
-
-  auto faulty_backend = FindChannelBackend("faulty");
-  ASSERT_TRUE(faulty_backend.ok());
-  auto faulty = faulty_backend.value()(lossy, 2, 7);
-  ASSERT_NE(faulty->AsFaulty(), nullptr);
-  // The registry applies the same per-salt seed mix as MakeChannel.
-  EXPECT_EQ(faulty->AsFaulty()->profile().seed, MixChannelSeed(lossy.seed, 7));
-
-  const std::vector<std::string> names = ChannelBackendNames();
-  EXPECT_GE(names.size(), 3u);
 }
 
 }  // namespace

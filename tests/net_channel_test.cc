@@ -62,6 +62,14 @@ TEST(NetChannel, MakeChannelSelectsTheImplementation) {
   // The salt is mixed into the fault seed, not visible in the profile
   // knobs the caller set.
   EXPECT_NEAR(faulty->AsFaulty()->profile().drop, 0.25, 0.0);
+
+  // Sub-protocol salts decorrelate the fault RNGs: the channel's seed is
+  // the profile seed mixed with its salt, and distinct salts differ.
+  lossy.seed = 9;
+  auto salted = MakeChannel(lossy, 2, /*salt=*/7);
+  ASSERT_NE(salted->AsFaulty(), nullptr);
+  EXPECT_EQ(salted->AsFaulty()->profile().seed, MixChannelSeed(lossy.seed, 7));
+  EXPECT_NE(MixChannelSeed(lossy.seed, 0), MixChannelSeed(lossy.seed, 7));
 }
 
 TEST(NetChannel, LoopbackDeliversSynchronouslyInOrder) {
@@ -352,6 +360,77 @@ TEST(NetChannel, CommCountersAreExactlyTheLedgerDerivation) {
   EXPECT_EQ(channel.comm().messages, messages);
   EXPECT_EQ(channel.comm().broadcasts, broadcasts);
   EXPECT_EQ(channel.ledger().TotalPayloadBytes(), 8 * (up + down));
+}
+
+// Delayed FaultyChannel delivery order is identical whether the clock is
+// polled tick by tick or jumped straight to NextDueTime, for both plain
+// delay and reliable drop/retry traffic.
+TEST(FaultyChannel, PolledAndEventDrivenDrainsAgree) {
+  net::NetProfile profile;
+  profile.drop = 0.3;
+  profile.delay_min = 1;
+  profile.delay_max = 4;
+  profile.seed = 99;
+  profile.reliable = true;
+  profile.retry = 2;
+
+  const auto drive = [&](bool event_driven) {
+    net::FaultyChannel channel(2, profile);
+    std::vector<std::pair<Timestamp, double>> delivered;
+    channel.SetHandler([&](net::Delivery d) {
+      if (const auto* sum = std::get_if<net::SumDeltaMsg>(&d.msg)) {
+        delivered.emplace_back(channel.now(), sum->delta);
+      }
+    });
+    channel.AdvanceTime(0);
+    for (int i = 0; i < 40; ++i) {
+      channel.Send(net::Direction::kUp, i % 2,
+                   net::WireMessage(net::SumDeltaMsg{static_cast<double>(i)}));
+      const Timestamp next = channel.now() + 1;
+      if (event_driven) {
+        // Jump only when something is due by `next`; otherwise advance
+        // straight to the row's own tick.
+        const auto due = channel.NextDueTime();
+        if (due && *due < next) channel.AdvanceTime(*due);
+        channel.AdvanceTime(next);
+      } else {
+        channel.AdvanceTime(next);
+      }
+    }
+    // Flush the tail either way.
+    while (channel.in_flight() > 0) {
+      const auto due = channel.NextDueTime();
+      EXPECT_TRUE(due.has_value());
+      if (!due) break;
+      channel.AdvanceTime(*due);
+    }
+    return delivered;
+  };
+
+  const auto polled = drive(false);
+  const auto evented = drive(true);
+  EXPECT_FALSE(polled.empty());
+  EXPECT_EQ(polled, evented);
+}
+
+TEST(FaultyChannel, NextDueTimeTracksTheQueueHead) {
+  net::NetProfile profile;
+  profile.delay_min = 3;
+  profile.delay_max = 3;
+  profile.seed = 1;
+  net::FaultyChannel channel(1, profile);
+  int delivered = 0;
+  channel.SetHandler([&](net::Delivery) { ++delivered; });
+  channel.AdvanceTime(10);
+  EXPECT_FALSE(channel.NextDueTime().has_value());
+  channel.Send(net::Direction::kUp, 0,
+               net::WireMessage(net::SumDeltaMsg{1.0}));
+  ASSERT_TRUE(channel.NextDueTime().has_value());
+  EXPECT_EQ(*channel.NextDueTime(), 13);
+  EXPECT_EQ(delivered, 0);
+  channel.AdvanceTime(13);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_FALSE(channel.NextDueTime().has_value());
 }
 
 }  // namespace

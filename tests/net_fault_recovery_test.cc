@@ -1,14 +1,17 @@
 // End-to-end fault injection: PWOR under data-plane loss, with and
 // without the ack-and-resend reliability shim, and recovery once the
-// network heals and the lossy era slides out of the window.
+// network heals and the lossy era slides out of the window; then delayed
+// frames through whole trackers.
 //
-// The tracker runs in exact mode (l larger than the window population),
-// so the clean-network error is ~0 and any residual error is exactly the
+// PWOR runs in exact mode (l larger than the window population), so the
+// clean-network error is ~0 and any residual error is exactly the
 // covariance mass the network lost.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -144,6 +147,73 @@ TEST(NetFaultRecovery, PworDegradesUnderLossAndRecoversAfterwards) {
   EXPECT_LT(err_recovered, kEpsilon * 1.5);  // the paper-level guarantee
   EXPECT_LT(err_recovered, 0.02);            // and in fact exact again
   EXPECT_LT(ErrorAgainst(exact, *reliable), 0.02);
+}
+
+// Delayed frames need no clock of their own: a frame sent at tick t with
+// delay k lands inside the first Observe or AdvanceTime that reaches
+// t + k. Frames are in flight while the stream runs but never overdue,
+// AdvanceTime(last + delay_max) lands every one of them, and the estimate
+// is then within the guarantee.
+TEST(NetFaultRecovery, DelayedFramesLandInsideTrackerCalls) {
+  constexpr Timestamp kDelayMax = 4;
+  const std::vector<TimedRow> rows = GaussianRows(900);
+  for (Algorithm algorithm : {Algorithm::kPwor, Algorithm::kDa1,
+                              Algorithm::kDa2, Algorithm::kCentral}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    TrackerConfig config;
+    config.dim = kDim;
+    config.num_sites = kSites;
+    config.window = kWindow;
+    config.epsilon = kEpsilon;
+    if (algorithm == Algorithm::kPwor) {
+      config.ell_override = 2 * static_cast<int>(kWindow);  // exact mode
+    }
+    config.seed = 5;
+    config.net.delay_min = 1;
+    config.net.delay_max = kDelayMax;
+    config.net.seed = 7;
+    auto made = MakeTracker(algorithm, config);
+    ASSERT_TRUE(made.ok()) << made.status().message();
+    DistributedTracker* tracker = made.value().get();
+
+    // Frames still queued after a tracker call at tick `now`; none may be
+    // due by then.
+    const auto frames_in_flight = [tracker](Timestamp now) {
+      long frames = 0;
+      for (net::Channel* c : tracker->Channels()) {
+        const net::FaultyChannel* faulty = c->AsFaulty();
+        EXPECT_NE(faulty, nullptr);
+        if (faulty == nullptr) continue;
+        frames += faulty->in_flight();
+        const std::optional<Timestamp> due = faulty->NextDueTime();
+        if (due.has_value()) {
+          EXPECT_GT(*due, now);
+        }
+      }
+      return frames;
+    };
+
+    ExactWindow exact(kDim, kWindow);
+    long max_in_flight = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_TRUE(tracker->Observe(static_cast<int>(i % kSites), rows[i]).ok());
+      exact.Add(rows[i]);
+      exact.Advance(rows[i].timestamp);
+      max_in_flight =
+          std::max(max_in_flight, frames_in_flight(rows[i].timestamp));
+    }
+    EXPECT_GT(max_in_flight, 0);
+
+    const Timestamp drained = rows.back().timestamp + kDelayMax;
+    tracker->AdvanceTime(drained);
+    exact.Advance(drained);
+    EXPECT_EQ(frames_in_flight(drained), 0);
+    const double err = ErrorAgainst(exact, *tracker);
+    EXPECT_LE(err, kEpsilon);
+    if (algorithm == Algorithm::kPwor) {
+      EXPECT_LT(err, 0.02);
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "core/sampling_tracker.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,13 @@ struct EstimatorCase {
   SamplingScheme scheme;
   bool use_all;
 };
+
+// Names the case by its fields rather than by its raw bytes, whose padding
+// made the ctest name differ between builds.
+void PrintTo(const EstimatorCase& c, std::ostream* os) {
+  *os << (c.scheme == SamplingScheme::kPriority ? "priority" : "es")
+      << " use_all=" << (c.use_all ? "true" : "false");
+}
 
 class SamplingEstimator : public ::testing::TestWithParam<EstimatorCase> {};
 

@@ -1,7 +1,7 @@
 // semlint-fixture-path: src/monitor/bad_socket.cc
-// Fixture: raw POSIX socket/poll/select calls outside src/runtime/ +
-// src/net/ must be flagged; transport I/O goes through a net::Channel
-// backend or the runtime worker protocol, never ad-hoc descriptors.
+// Fixture: raw POSIX socket/poll/select calls outside src/net/ must be
+// flagged; transport I/O goes through a net::Channel, never ad-hoc
+// descriptors.
 #include <poll.h>
 #include <sys/select.h>
 #include <sys/socket.h>

@@ -1,6 +1,6 @@
-// semlint-fixture-path: src/runtime/ok_socket.cc
-// Fixture: src/runtime (like src/net) is a sanctioned home for the
-// socket layer -- the process backend lives here.
+// semlint-fixture-path: src/net/ok_socket.cc
+// Fixture: src/net is the one sanctioned home for the socket layer --
+// transport I/O belongs behind a net::Channel.
 #include <poll.h>
 #include <sys/socket.h>
 

@@ -1,11 +1,9 @@
 // The serving-tier determinism contract: published snapshot bytes are a
-// pure function of the stream and the window -- bit-identical under the
-// lockstep oracle, the event-driven scheduler, and the multi-process
-// socket backend, and untouched by any number of concurrent readers.
+// pure function of the stream and the window, untouched by any number of
+// concurrent readers.
 
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,8 +13,6 @@
 #include "core/tracker_factory.h"
 #include "linalg/matrix.h"
 #include "monitor/driver.h"
-#include "monitor/runtime.h"
-#include "runtime/runtime.h"
 #include "serve/query_service.h"
 #include "serve/snapshot_store.h"
 #include "stream/synthetic.h"
@@ -45,24 +41,18 @@ std::vector<double> CopyMatrix(const Matrix& m) {
   return std::vector<double>(m.data(), m.data() + n);
 }
 
-// Replays `rows` under the given runtime with publication wired into the
-// driver, recording every published version's bytes. `reader_threads`
-// concurrent sessions hammer the store for the whole run (0 = none).
-std::vector<VersionBytes> RunAndRecord(runtime::RuntimeKind kind,
-                                       Algorithm algorithm,
+// Replays `rows` with publication wired into the driver, recording every
+// published version's bytes. `reader_threads` concurrent sessions hammer
+// the store for the whole run (0 = none).
+std::vector<VersionBytes> RunAndRecord(Algorithm algorithm,
                                        const std::vector<TimedRow>& rows,
                                        Timestamp window, int reader_threads) {
-  runtime::RuntimeOptions runtime_options;
-  runtime_options.kind = kind;
-  const std::unique_ptr<Runtime> rt = runtime::MakeRuntime(runtime_options);
-
   TrackerConfig config;
   config.dim = 8;
   config.num_sites = 3;
   config.window = window;
   config.epsilon = 0.2;
   config.seed = 11;
-  config.channel_backend = rt->backend();
   auto tracker = MakeTracker(algorithm, config);
   EXPECT_TRUE(tracker.ok()) << tracker.status().message();
 
@@ -97,8 +87,8 @@ std::vector<VersionBytes> RunAndRecord(runtime::RuntimeKind kind,
       }
     });
   }
-  auto run = rt->Run(tracker.value().get(), rows, config.num_sites, window,
-                     options);
+  auto run = RunTracker(tracker.value().get(), rows, config.num_sites, window,
+                        options);
   done.store(true, std::memory_order_release);
   pool.WaitIdle();
   EXPECT_TRUE(run.ok()) << run.status().message();
@@ -127,7 +117,7 @@ void ExpectSameVersions(const std::vector<VersionBytes>& got,
   }
 }
 
-TEST(ServeBitIdentity, SnapshotBytesIdenticalAcrossRuntimesAndReaders) {
+TEST(ServeBitIdentity, SnapshotBytesIdenticalAcrossReaders) {
   const std::vector<TimedRow> rows = SmallStream(500);
   const Timestamp window =
       (rows.back().timestamp - rows.front().timestamp + 1) / 3;
@@ -136,20 +126,9 @@ TEST(ServeBitIdentity, SnapshotBytesIdenticalAcrossRuntimesAndReaders) {
   // both conversion directions must be deterministic.
   for (Algorithm a : {Algorithm::kDa2, Algorithm::kPwor}) {
     SCOPED_TRACE(AlgorithmName(a));
-    const auto oracle =
-        RunAndRecord(runtime::RuntimeKind::kLockstep, a, rows, window, 0);
-
-    const auto with_readers =
-        RunAndRecord(runtime::RuntimeKind::kLockstep, a, rows, window, 4);
-    ExpectSameVersions(with_readers, oracle, "lockstep+4readers");
-
-    const auto events =
-        RunAndRecord(runtime::RuntimeKind::kEvents, a, rows, window, 0);
-    ExpectSameVersions(events, oracle, "events");
-
-    const auto process =
-        RunAndRecord(runtime::RuntimeKind::kProcess, a, rows, window, 0);
-    ExpectSameVersions(process, oracle, "process");
+    const auto oracle = RunAndRecord(a, rows, window, 0);
+    const auto with_readers = RunAndRecord(a, rows, window, 4);
+    ExpectSameVersions(with_readers, oracle, "4readers");
   }
 }
 
@@ -159,10 +138,8 @@ TEST(ServeBitIdentity, LoadedRunsRepeatIdentically) {
   const std::vector<TimedRow> rows = SmallStream(400);
   const Timestamp window =
       (rows.back().timestamp - rows.front().timestamp + 1) / 3;
-  const auto first = RunAndRecord(runtime::RuntimeKind::kLockstep,
-                                  Algorithm::kDa2, rows, window, 2);
-  const auto second = RunAndRecord(runtime::RuntimeKind::kLockstep,
-                                   Algorithm::kDa2, rows, window, 2);
+  const auto first = RunAndRecord(Algorithm::kDa2, rows, window, 2);
+  const auto second = RunAndRecord(Algorithm::kDa2, rows, window, 2);
   ExpectSameVersions(second, first, "repeat");
 }
 

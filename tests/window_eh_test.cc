@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,12 @@ struct EhCase {
   double eps;
   int weight_mode;  // 0 uniform, 1 heavy-tailed, 2 bursty arrivals
 };
+
+// Names the case by its fields rather than by its raw bytes, whose padding
+// made the ctest name differ between builds.
+void PrintTo(const EhCase& c, std::ostream* os) {
+  *os << "eps=" << c.eps << " weight_mode=" << c.weight_mode;
+}
 
 class EhProperty : public ::testing::TestWithParam<EhCase> {};
 

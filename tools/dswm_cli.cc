@@ -9,7 +9,6 @@
 //   dswm_cli run ... --net-drop 0.01 --net-seed 7 [--net-dup P]
 //            [--net-delay D] [--net-reliable 1 --net-retry R]
 //   dswm_cli run ... --net-json 1        # wire/ledger metrics as JSON line
-//   dswm_cli run ... --runtime lockstep|events|process [--wall-clock 1]
 //   dswm_cli run ... --metrics-json -    # obs snapshot (spans + counters +
 //            comm gauges) as one JSON document to stdout, or to a file path
 //   dswm_cli sweep --dataset pamap --algorithms PWOR,DA2
@@ -22,10 +21,11 @@
 //   dswm_cli algorithms
 //
 // Runs one tracking experiment and prints the paper's metrics (avg/max
-// covariance error, words per window, per-site space, update rate).
+// covariance error, words per window, per-site space, update rate). Every
+// run is the lockstep replay of RunTracker (monitor/driver.h); --net-delay
+// frames land inside the tracker calls that reach their due tick.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "common/flags.h"
@@ -34,7 +34,6 @@
 #include "linalg/matrix_io.h"
 #include "monitor/driver.h"
 #include "obs/metrics.h"
-#include "runtime/runtime.h"
 #include "serve/load_gen.h"
 #include "stream/csv_loader.h"
 #include "stream/pamap_like.h"
@@ -153,15 +152,6 @@ int CmdRun(const FlagSet& flags) {
   config.net.reliable = flags.GetInt("net-reliable", 0) != 0;
   config.net.retry = std::max<Timestamp>(1, flags.GetInt("net-retry", 1));
 
-  runtime::RuntimeOptions runtime_options;
-  auto runtime_kind =
-      runtime::ParseRuntimeKind(flags.GetString("runtime", "lockstep"));
-  if (!runtime_kind.ok()) return Fail(runtime_kind.status());
-  runtime_options.kind = runtime_kind.value();
-  runtime_options.wall_clock = flags.GetInt("wall-clock", 0) != 0;
-  std::unique_ptr<Runtime> runtime = runtime::MakeRuntime(runtime_options);
-  config.channel_backend = runtime->backend();
-
   auto tracker = MakeTracker(algorithm.value(), config);
   if (!tracker.ok()) return Fail(tracker.status());
 
@@ -175,14 +165,13 @@ int CmdRun(const FlagSet& flags) {
   const bool want_metrics = flags.Has("metrics-json");
   if (want_metrics) obs::SetEnabled(true);
 
-  const StatusOr<RunResult> run = runtime->Run(
+  const StatusOr<RunResult> run = RunTracker(
       tracker.value().get(), rows, config.num_sites, config.window, options);
   if (!run.ok()) return Fail(run.status());
   const RunResult& r = run.value();
   if (!r.trace_status.ok()) return Fail(r.trace_status);
 
   std::printf("algorithm        : %s\n", AlgorithmName(algorithm.value()));
-  std::printf("runtime          : %s\n", runtime->name());
   std::printf("rows x dim       : %d x %d\n", r.rows, config.dim);
   std::printf("sites m          : %d\n", config.num_sites);
   std::printf("window W         : %lld ticks (%.1f windows spanned)\n",
@@ -387,7 +376,7 @@ int main(int argc, char** argv) {
       "ell",     "save-sketch", "trace",     "algorithms", "epsilons",
       "threads", "trace-jsonl", "net-drop",  "net-dup",   "net-delay",
       "net-seed", "net-reliable", "net-retry", "net-json", "metrics-json",
-      "runtime", "wall-clock", "dim", "readers", "min-queries", "selfcheck"};
+      "dim", "readers", "min-queries", "selfcheck"};
   auto flags = FlagSet::Parse(argc, argv, known);
   if (!flags.ok()) return Fail(flags.status());
 

@@ -46,11 +46,9 @@ R6 started life as regex rules in dswm_lint.py and were migrated here.
   R12 socket-confinement
           No raw POSIX socket/poll/select calls (socket, socketpair,
           accept, listen, poll, select, epoll_*, recvmsg, sendmsg, ...)
-          outside src/runtime/ + src/net/: transport I/O flows through
-          net::Channel backends and the runtime's framed worker protocol
-          (runtime/site_worker.h), never ad-hoc descriptors. Member and
-          qualified calls (x.poll(), ns::select()) are not raw sockets
-          and do not fire.
+          outside src/net/: transport I/O flows through net::Channel,
+          never ad-hoc descriptors. Member and qualified calls (x.poll(),
+          ns::select()) are not raw sockets and do not fire.
   R13 snapshot-immutability
           No member call to CovarianceEstimate::MaterializeAndSeal
           (x.MaterializeAndSeal(), p->MaterializeAndSeal()) outside
@@ -91,7 +89,7 @@ EXCLUDED_PARTS = {("tests", "semlint_fixtures")}
 THREAD_ALLOWED_PREFIX = ("src", "common")
 COMM_ALLOWED_PREFIX = ("src", "net")
 CAST_ALLOWED_PREFIX = ("src", "net")
-SOCKET_ALLOWED_PREFIXES = (("src", "runtime"), ("src", "net"))
+SOCKET_ALLOWED_PREFIX = ("src", "net")
 SEAL_ALLOWED_PREFIX = ("src", "serve")
 UNORDERED_SCOPED_PREFIXES = (("src", "core"), ("src", "window"),
                              ("src", "sketch"))
@@ -781,7 +779,7 @@ def check_snapshot_immutability(u, rep):
 
 
 def check_socket_confinement(u, rep):
-    if any(under(u.rel, p) for p in SOCKET_ALLOWED_PREFIXES):
+    if under(u.rel, SOCKET_ALLOWED_PREFIX):
         return
     toks = u.toks
     n = len(toks)
@@ -797,9 +795,8 @@ def check_socket_confinement(u, rep):
             continue  # `bool poll(...)`: a declaration, not a call
         u.emit(rep, t.line, "socket-confinement",
                f"raw socket-layer call '{t.text}(...)' outside "
-               "src/runtime/ + src/net/; transport I/O goes through a "
-               "net::Channel backend or the runtime worker protocol "
-               "(runtime/site_worker.h), never ad-hoc descriptors")
+               "src/net/; transport I/O goes through a net::Channel, "
+               "never ad-hoc descriptors")
 
 
 # ---------------------------------------------------------------------------

@@ -89,14 +89,6 @@ if [[ "${SKIP_ASAN}" -eq 0 ]]; then
   log "ctest -L net (build-asan)"
   ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}" \
     -L net
-
-  # Multi-process smoke under ASan: the process backend forks real
-  # worker processes and shuttles frames over AF_UNIX sockets; ASan
-  # follows the fork, so a buffer over-read in the envelope codec or the
-  # incremental frame decoder trips on either side of the socket.
-  log "ctest -L runtime process smoke (build-asan)"
-  ctest --test-dir "${ROOT}/build-asan" --output-on-failure -j "${JOBS}" \
-    -L runtime -R 'ProcessChannel|ProcessSupervisor|FrameDecoder|WorkerEnvelope'
 fi
 
 if [[ "${SKIP_TSAN}" -eq 0 ]]; then
@@ -113,14 +105,6 @@ if [[ "${SKIP_TSAN}" -eq 0 ]]; then
   log "ctest -L obs (build-tsan)"
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
     -L obs
-
-  # The runtime-labeled suite under TSan: the event scheduler and the
-  # process backend are specified single-threaded-coordinator designs,
-  # and TSan proves that claim holds (any hidden thread touching channel
-  # or queue state would race here).
-  log "ctest -L runtime (build-tsan)"
-  ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-    -L runtime
 
   # The serve-labeled suite under TSan: the snapshot store's publish /
   # pin / reclaim protocol is the one deliberately lock-free reader path
