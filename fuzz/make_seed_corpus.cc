@@ -2,11 +2,14 @@
 //
 //   build/fuzz/fuzz_make_seed_corpus <repo-root>/fuzz/corpus
 //
-// One valid frame per wire message kind plus structured near-misses
-// (truncations, bad tags, inflated counts), and CSV seeds covering every
-// option nibble the harness decodes. Deterministic output: regenerating
-// over an unchanged wire format is a no-op diff.
+// One valid frame per wire message kind, frames at the sizes the trackers
+// ship (WIKI d = 512, PAMAP d = 43, SYNTHETIC d = 128), structured
+// near-misses (truncations, bad tags, inflated counts, an out-of-range
+// support index), and CSV seeds covering every option nibble the harness
+// decodes. Deterministic output: regenerating over an unchanged wire format
+// is a no-op diff.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -30,6 +33,32 @@ bool WriteText(const std::string& path, const std::string& text) {
   if (!out) return false;
   out << text;
   return static_cast<bool>(out);
+}
+
+// A dense d-vector of exact binary fractions (the same bytes on every
+// host and libm), varied by `salt`.
+std::vector<double> Dense(int d, int salt) {
+  std::vector<double> v(static_cast<size_t>(d));
+  for (int j = 0; j < d; ++j) {
+    v[static_cast<size_t>(j)] =
+        static_cast<double>((j * 37 + salt * 11) % 101 - 50) / 64.0;
+  }
+  return v;
+}
+
+// A WIKI-shaped PWOR upload: d = 512, 40 nonzero words, key and timestamp.
+dswm::net::RowUploadMsg WikiRow() {
+  dswm::net::RowUploadMsg row;
+  row.values.assign(512, 0.0);
+  for (int k = 0; k < 40; ++k) row.support.push_back((k * 97 + 5) % 512);
+  std::sort(row.support.begin(), row.support.end());
+  for (int j : row.support) {
+    row.values[static_cast<size_t>(j)] = 0.25 + static_cast<double>(j % 13) / 8.0;
+  }
+  row.timestamp = 3949;
+  row.has_key = true;
+  row.key = 0.8125;
+  return row;
 }
 
 }  // namespace
@@ -70,6 +99,13 @@ int main(int argc, char** argv) {
   da2.timestamp = 99;
   da2.flag = -1;
   messages.emplace_back("da2_delta", da2);
+  messages.emplace_back("row_upload_wiki_d512", WikiRow());
+  RowUploadMsg central;  // CENTRAL on PAMAP: d = 43 + timestamp
+  central.values = Dense(43, 1);
+  central.timestamp = 20000;
+  messages.emplace_back("row_upload_central_d43", central);
+  messages.emplace_back("eigenpair_d128", EigenpairMsg{6.5, Dense(128, 2)});
+  messages.emplace_back("da2_delta_d128", Da2DeltaMsg{Dense(128, 3), 4000, 1});
   messages.emplace_back("sum_delta", SumDeltaMsg{12.5});
   messages.emplace_back("expiry_notice", ExpiryNoticeMsg{1234});
   messages.emplace_back("ack", AckMsg{77});
@@ -122,6 +158,15 @@ int main(int argc, char** argv) {
     ++failures;
   }
   if (!WriteBytes((root / "wire" / "empty.bin").string(), {})) ++failures;
+  // A full-size sparse upload whose last support index is d: the parser
+  // must copy the whole frame, then reject it on the index check.
+  RowUploadMsg bad_support = WikiRow();
+  bad_support.support.back() = 512;
+  SerializeMessage(bad_support, &frame);
+  if (!WriteBytes((root / "wire" / "support_out_of_range.bin").string(),
+                  frame)) {
+    ++failures;
+  }
 
   // CSV seeds: first byte = option selector (see fuzz_csv_parse.cc).
   const std::pair<std::string, std::string> csvs[] = {

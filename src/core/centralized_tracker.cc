@@ -23,7 +23,7 @@ Status CentralizedTracker::Observe(int site, const TimedRow& row) {
   msg.values = row.values;
   msg.timestamp = row.timestamp;
   msg.support = row.support;
-  channel_->Send(net::Direction::kUp, site, msg);
+  channel_->Send(net::Direction::kUp, site, std::move(msg));
   return Status::OK();
 }
 

@@ -101,7 +101,7 @@ void Da1Tracker::MaybeReport(int site, SiteState* st, Timestamp /*t*/) {
         net::EigenpairMsg msg;
         msg.lambda = lambda;
         msg.vector.assign(eig.vectors.Row(i), eig.vectors.Row(i) + d);
-        channel_->Send(net::Direction::kUp, site, msg);
+        channel_->Send(net::Direction::kUp, site, std::move(msg));
       } else {
         residual = std::max(residual, std::fabs(lambda));
       }

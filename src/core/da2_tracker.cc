@@ -51,7 +51,7 @@ void Da2Tracker::ShipForward(int site, const std::vector<IwmtOutput>& outs) {
     msg.direction = o.direction;
     msg.timestamp = now_;
     msg.flag = 1;
-    channel_->Send(net::Direction::kUp, site, msg);
+    channel_->Send(net::Direction::kUp, site, std::move(msg));
   }
 }
 
@@ -61,7 +61,7 @@ void Da2Tracker::ShipBackward(int site, const std::vector<IwmtOutput>& outs) {
     msg.direction = o.direction;
     msg.timestamp = now_;
     msg.flag = -1;
-    channel_->Send(net::Direction::kUp, site, msg);
+    channel_->Send(net::Direction::kUp, site, std::move(msg));
   }
 }
 

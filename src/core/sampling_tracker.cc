@@ -71,7 +71,7 @@ void SamplingTracker::ShipToCoordinator(int site, TimedRow row, double key) {
   msg.support = std::move(row.support);
   msg.has_key = true;
   msg.key = key;
-  channel_->Send(net::Direction::kUp, site, msg);
+  channel_->Send(net::Direction::kUp, site, std::move(msg));
 }
 
 void SamplingTracker::BroadcastThreshold() {

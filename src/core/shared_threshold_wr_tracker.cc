@@ -59,7 +59,7 @@ void SharedThresholdWrTracker::Ship(int site, int sampler, const TimedRow& row,
   msg.key = key;
   msg.has_sampler = true;
   msg.sampler = sampler;
-  channel_->Send(net::Direction::kUp, site, msg);
+  channel_->Send(net::Direction::kUp, site, std::move(msg));
 }
 
 void SharedThresholdWrTracker::BroadcastThreshold() {

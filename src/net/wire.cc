@@ -1,45 +1,79 @@
 #include "net/wire.h"
 
+#include <bit>
 #include <cstring>
-#include <limits>
 #include <string>
+
+#include "common/check.h"
 
 namespace dswm::net {
 
 namespace {
 
 // --- little-endian primitives -------------------------------------------
+//
+// Frames are little-endian. On a little-endian host a value's bytes in
+// memory already are its wire bytes, so a scalar is one memcpy and a value
+// array is one memcpy for the whole array. A big-endian host assembles and
+// takes apart each value byte by byte.
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
+static_assert(sizeof(int) == sizeof(int32_t),
+              "support indices cross the wire as i32");
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+/// Little-endian writer into a frame buffer sized up front.
+class Writer {
+ public:
+  explicit Writer(uint8_t* pos) : pos_(pos) {}
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+  [[nodiscard]] const uint8_t* pos() const { return pos_; }
 
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
+  void PutU8(uint8_t v) { *pos_++ = v; }
+  void PutU16(uint16_t v) { PutUnsigned(v); }
+  void PutU32(uint32_t v) { PutUnsigned(v); }
+  void PutU64(uint64_t v) { PutUnsigned(v); }
+  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
+  // Exact for every double bit pattern (NaN payloads, +-inf, denormals,
+  // signed zero).
+  void PutF64(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
-void PutF64(std::vector<uint8_t>* out, double v) {
-  // Bit-cast through memcpy: exact for every double bit pattern (NaN
-  // payloads, +-inf, denormals, signed zero).
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
+  void PutF64s(const std::vector<double>& values) {
+    if constexpr (kLittleEndianHost) {
+      PutBytes(values.data(), sizeof(double) * values.size());
+    } else {
+      for (double v : values) PutF64(v);
+    }
+  }
 
-void PutI32(std::vector<uint8_t>* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
+  void PutI32s(const std::vector<int>& values) {
+    if constexpr (kLittleEndianHost) {
+      PutBytes(values.data(), sizeof(int32_t) * values.size());
+    } else {
+      for (int v : values) PutU32(static_cast<uint32_t>(v));
+    }
+  }
+
+ private:
+  template <typename T>
+  void PutUnsigned(T v) {
+    if constexpr (kLittleEndianHost) {
+      PutBytes(&v, sizeof(v));
+    } else {
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        *pos_++ = static_cast<uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+
+  void PutBytes(const void* src, size_t n) {
+    if (n == 0) return;  // an empty vector's data() may be null
+    std::memcpy(pos_, src, n);
+    pos_ += n;
+  }
+
+  uint8_t* pos_;
+};
 
 /// Bounds-checked little-endian reader over a frame.
 class Reader {
@@ -54,30 +88,9 @@ class Reader {
     return Status::OK();
   }
 
-  Status ReadU16(uint16_t* v) {
-    DSWM_RETURN_NOT_OK(Need(2));
-    *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return Status::OK();
-  }
-
-  Status ReadU32(uint32_t* v) {
-    DSWM_RETURN_NOT_OK(Need(4));
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) r |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    *v = r;
-    return Status::OK();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    DSWM_RETURN_NOT_OK(Need(8));
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) r |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    *v = r;
-    return Status::OK();
-  }
+  Status ReadU16(uint16_t* v) { return ReadUnsigned(v); }
+  Status ReadU32(uint32_t* v) { return ReadUnsigned(v); }
+  Status ReadU64(uint64_t* v) { return ReadUnsigned(v); }
 
   Status ReadI64(int64_t* v) {
     uint64_t u = 0;
@@ -89,18 +102,61 @@ class Reader {
   Status ReadF64(double* v) {
     uint64_t bits = 0;
     DSWM_RETURN_NOT_OK(ReadU64(&bits));
-    std::memcpy(v, &bits, sizeof(*v));
+    *v = std::bit_cast<double>(bits);
     return Status::OK();
   }
 
-  Status ReadI32(int32_t* v) {
-    uint32_t u = 0;
-    DSWM_RETURN_NOT_OK(ReadU32(&u));
-    *v = static_cast<int32_t>(u);
-    return Status::OK();
+  // Fills `values` (already sized) from the next 8 * size() bytes: one
+  // bounds check and one memcpy on a little-endian host.
+  Status ReadF64s(std::vector<double>* values) {
+    if constexpr (kLittleEndianHost) {
+      return ReadBytes(values->data(), sizeof(double) * values->size());
+    } else {
+      for (double& v : *values) DSWM_RETURN_NOT_OK(ReadF64(&v));
+      return Status::OK();
+    }
+  }
+
+  // Fills `values` (already sized) from the next 4 * size() bytes, as
+  // ReadF64s does. Range checks are the caller's.
+  Status ReadI32s(std::vector<int>* values) {
+    if constexpr (kLittleEndianHost) {
+      return ReadBytes(values->data(), sizeof(int32_t) * values->size());
+    } else {
+      for (int& v : *values) {
+        uint32_t u = 0;
+        DSWM_RETURN_NOT_OK(ReadU32(&u));
+        v = static_cast<int32_t>(u);
+      }
+      return Status::OK();
+    }
   }
 
  private:
+  template <typename T>
+  Status ReadUnsigned(T* v) {
+    if constexpr (kLittleEndianHost) {
+      return ReadBytes(v, sizeof(T));
+    } else {
+      DSWM_RETURN_NOT_OK(Need(sizeof(T)));
+      T r = 0;
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        r |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+      }
+      pos_ += sizeof(T);
+      *v = r;
+      return Status::OK();
+    }
+  }
+
+  Status ReadBytes(void* dst, size_t n) {
+    DSWM_RETURN_NOT_OK(Need(n));
+    if (n == 0) return Status::OK();  // an empty vector's data() may be null
+    std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+
   Status Need(size_t n) {
     if (remaining() < n) {
       return Status::InvalidArgument("wire: truncated frame (need " +
@@ -189,40 +245,43 @@ void SerializeMessage(const WireMessage& msg, std::vector<uint8_t>* out,
     if (row->has_sampler) flags |= kFlagHasSampler;
     aux = static_cast<uint32_t>(row->support.size());
   }
-  out->reserve(kFrameHeaderBytes + 8 * static_cast<size_t>(words) + 4 * aux);
-  PutU8(out, static_cast<uint8_t>(kind));
-  PutU8(out, flags);
-  PutU16(out, kWireFormatVersion);
-  PutU32(out, static_cast<uint32_t>(words));
-  PutU32(out, aux);
-  PutU64(out, sequence);
+  // One resize for the whole frame; the writer then fills it in place.
+  out->resize(kFrameHeaderBytes + 8 * static_cast<size_t>(words) + 4 * aux);
+  Writer w(out->data());
+  w.PutU8(static_cast<uint8_t>(kind));
+  w.PutU8(flags);
+  w.PutU16(kWireFormatVersion);
+  w.PutU32(static_cast<uint32_t>(words));
+  w.PutU32(aux);
+  w.PutU64(sequence);
 
   struct Visitor {
-    std::vector<uint8_t>* out;
+    Writer* w;
     void operator()(const RowUploadMsg& m) {
-      for (double v : m.values) PutF64(out, v);
-      PutI64(out, m.timestamp);
-      if (m.has_key) PutF64(out, m.key);
-      if (m.has_sampler) PutI64(out, m.sampler);
-      for (int idx : m.support) PutI32(out, idx);
+      w->PutF64s(m.values);
+      w->PutI64(m.timestamp);
+      if (m.has_key) w->PutF64(m.key);
+      if (m.has_sampler) w->PutI64(m.sampler);
+      w->PutI32s(m.support);
     }
-    void operator()(const RetrieveRequestMsg& m) { PutF64(out, m.bound); }
-    void operator()(const RetrieveResponseMsg& m) { PutF64(out, m.key); }
-    void operator()(const ThresholdBroadcastMsg& m) { PutF64(out, m.threshold); }
+    void operator()(const RetrieveRequestMsg& m) { w->PutF64(m.bound); }
+    void operator()(const RetrieveResponseMsg& m) { w->PutF64(m.key); }
+    void operator()(const ThresholdBroadcastMsg& m) { w->PutF64(m.threshold); }
     void operator()(const EigenpairMsg& m) {
-      PutF64(out, m.lambda);
-      for (double v : m.vector) PutF64(out, v);
+      w->PutF64(m.lambda);
+      w->PutF64s(m.vector);
     }
     void operator()(const Da2DeltaMsg& m) {
-      for (double v : m.direction) PutF64(out, v);
-      PutI64(out, m.timestamp);
-      PutI64(out, m.flag);
+      w->PutF64s(m.direction);
+      w->PutI64(m.timestamp);
+      w->PutI64(m.flag);
     }
-    void operator()(const SumDeltaMsg& m) { PutF64(out, m.delta); }
-    void operator()(const ExpiryNoticeMsg& m) { PutI64(out, m.cutoff); }
-    void operator()(const AckMsg& m) { PutU64(out, m.sequence); }
+    void operator()(const SumDeltaMsg& m) { w->PutF64(m.delta); }
+    void operator()(const ExpiryNoticeMsg& m) { w->PutI64(m.cutoff); }
+    void operator()(const AckMsg& m) { w->PutU64(m.sequence); }
   };
-  std::visit(Visitor{out}, msg);
+  std::visit(Visitor{&w}, msg);
+  DSWM_DCHECK(w.pos() == out->data() + out->size());
 }
 
 namespace {
@@ -243,19 +302,17 @@ StatusOr<WireMessage> ParseBody(Reader& r, MessageKind kind, uint8_t flags,
       }
       const long d = static_cast<long>(words) - fixed;
       m.values.resize(static_cast<size_t>(d));
-      for (double& v : m.values) DSWM_RETURN_NOT_OK(r.ReadF64(&v));
+      DSWM_RETURN_NOT_OK(r.ReadF64s(&m.values));
       DSWM_RETURN_NOT_OK(r.ReadI64(&m.timestamp));
       if (m.has_key) DSWM_RETURN_NOT_OK(r.ReadF64(&m.key));
       if (m.has_sampler) DSWM_RETURN_NOT_OK(r.ReadI64(&m.sampler));
       m.support.resize(aux);
-      for (int& idx : m.support) {
-        int32_t raw = 0;
-        DSWM_RETURN_NOT_OK(r.ReadI32(&raw));
-        if (raw < 0 || raw >= d) {
-          return BadFrame("support index " + std::to_string(raw) +
+      DSWM_RETURN_NOT_OK(r.ReadI32s(&m.support));
+      for (int idx : m.support) {
+        if (idx < 0 || idx >= d) {
+          return BadFrame("support index " + std::to_string(idx) +
                           " out of range for d=" + std::to_string(d));
         }
-        idx = raw;
       }
       return WireMessage(std::move(m));
     }
@@ -282,14 +339,14 @@ StatusOr<WireMessage> ParseBody(Reader& r, MessageKind kind, uint8_t flags,
       EigenpairMsg m;
       DSWM_RETURN_NOT_OK(r.ReadF64(&m.lambda));
       m.vector.resize(words - 1);
-      for (double& v : m.vector) DSWM_RETURN_NOT_OK(r.ReadF64(&v));
+      DSWM_RETURN_NOT_OK(r.ReadF64s(&m.vector));
       return WireMessage(std::move(m));
     }
     case MessageKind::kDa2Delta: {
       if (words < 2) return BadFrame("da2 delta missing timestamp/flag");
       Da2DeltaMsg m;
       m.direction.resize(words - 2);
-      for (double& v : m.direction) DSWM_RETURN_NOT_OK(r.ReadF64(&v));
+      DSWM_RETURN_NOT_OK(r.ReadF64s(&m.direction));
       DSWM_RETURN_NOT_OK(r.ReadI64(&m.timestamp));
       int64_t flag = 0;
       DSWM_RETURN_NOT_OK(r.ReadI64(&flag));

@@ -4,6 +4,7 @@
 // scalar gEH on the F-norm they both track.
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,13 @@ struct FdSweep {
   int ell;
   double spread;
 };
+
+// Names the case by its fields rather than by its raw bytes, whose padding
+// made the ctest name differ between builds.
+void PrintTo(const FdSweep& c, std::ostream* os) {
+  *os << "n=" << c.n << " d=" << c.d << " ell=" << c.ell
+      << " spread=" << c.spread;
+}
 
 class FdCrossValidation : public ::testing::TestWithParam<FdSweep> {};
 

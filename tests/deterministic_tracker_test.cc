@@ -66,6 +66,13 @@ struct DetCase {
   bool heavy;
 };
 
+// Names the case by its fields rather than by its raw bytes, whose padding
+// made the ctest name differ between builds.
+void PrintTo(const DetCase& c, std::ostream* os) {
+  *os << "eps=" << c.eps << " d=" << c.d << " sites=" << c.sites
+      << (c.heavy ? " heavy" : " gaussian");
+}
+
 class Da1Property : public ::testing::TestWithParam<DetCase> {};
 
 TEST_P(Da1Property, ErrorStaysBelowEpsilon) {

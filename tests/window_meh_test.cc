@@ -1,6 +1,7 @@
 #include "window/matrix_eh.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,13 @@ struct MehCase {
   int d;
   bool heavy_tail;
 };
+
+// Names the case by its fields rather than by its raw bytes, whose padding
+// made the ctest name differ between builds.
+void PrintTo(const MehCase& c, std::ostream* os) {
+  *os << "eps=" << c.eps << " d=" << c.d
+      << (c.heavy_tail ? " heavy" : " gaussian");
+}
 
 class MehProperty : public ::testing::TestWithParam<MehCase> {};
 

@@ -247,39 +247,40 @@ print(f"metrics overhead OK ({overhead:+.2%}: "
 PY
   rm -f "${OVH_OFF_TMP}" "${OVH_ON_TMP}"
 
-  log "net bench smoke (DA2 and DA1 wire bytes vs baselines)"
+  log "net bench smoke (DA2, DA1, PWOR and CENTRAL wire bytes vs baselines)"
   # Serialized bytes per window are exact under loopback (deterministic
-  # protocol, deterministic wire format), so the committed baselines are
-  # checked with zero tolerance: any drift is a wire-format or protocol
-  # change and must be re-baselined deliberately. DA1's report decisions
-  # also hang on its d x d kernels (power-iteration norm check,
-  # eigendecomposition, send cut), so a kernel change that flips one of
-  # them changes its word count.
+  # protocol, deterministic wire format, seeded samplers), so the committed
+  # baselines are checked with zero tolerance: any drift is a wire-format or
+  # protocol change and must be re-baselined deliberately. Each baseline
+  # runs its own _command. DA1's report decisions also hang on its d x d
+  # kernels (power-iteration norm check, eigendecomposition, send cut), so
+  # a kernel change that flips one of them changes its word count. PWOR on
+  # WIKI ships sparse rows, whose support indices only wire_frame_bytes
+  # counts; CENTRAL on PAMAP puts every row on the wire.
   cmake --build "${ROOT}/build-release" -j "${JOBS}" --target dswm_cli
-  for ALG in DA2 DA1; do
-    BASELINE="bench/BENCH_net_${ALG,,}_bytes.json"
-    NET_JSON_TMP="$(mktemp /tmp/dswm_net_${ALG,,}.XXXXXX.json)"
-    "${ROOT}/build-release/tools/dswm_cli" run --dataset synthetic \
-      --algorithm "${ALG}" --epsilon 0.2 --sites 4 --rows 4000 \
-      --window 500 --seed 1 --queries 2 --net-json 1 \
-      | grep '^{' > "${NET_JSON_TMP}"
-    python3 - "${NET_JSON_TMP}" "${ROOT}/${BASELINE}" "${BASELINE}" <<'PY'
-import json, sys
-with open(sys.argv[1]) as f:
-    got = json.load(f)
-with open(sys.argv[2]) as f:
+  for ALG in da2 da1 pwor central; do
+    BASELINE="bench/BENCH_net_${ALG}_bytes.json"
+    python3 - "${ROOT}" "${BASELINE}" <<'PY'
+import json, shlex, subprocess, sys
+root, baseline = sys.argv[1], sys.argv[2]
+with open(f"{root}/{baseline}") as f:
     want = json.load(f)
+argv = shlex.split(want["_command"])
+argv[0] = f"{root}/{argv[0]}"
+out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
+got = json.loads([l for l in out.splitlines() if l.startswith("{")][-1])
 for key in ("algorithm", "total_words", "wire_payload_bytes",
-            "wire_transmissions", "payload_bytes_per_window"):
+            "wire_frame_bytes", "wire_transmissions",
+            "payload_bytes_per_window"):
     assert got[key] == want[key], (
         f"{want['algorithm']} wire baseline drift in '{key}': "
         f"got {got[key]!r}, baseline {want[key]!r} -- if intentional, "
-        f"regenerate {sys.argv[3]} with the command in that file")
+        f"regenerate {baseline} with the command in that file")
 print(f"{got['algorithm']} wire baseline OK "
       f"({got['wire_payload_bytes']} payload bytes, "
+      f"{got['wire_frame_bytes']} frame bytes, "
       f"{got['payload_bytes_per_window']} per window)")
 PY
-    rm -f "${NET_JSON_TMP}"
   done
 
   log "IWMT trigger gate (DA2 decompositions per row)"
