@@ -6,7 +6,7 @@
 // the loaded phase, per-query latency percentiles read off the
 // serve.query.latency_us histogram, query mix counts, versions
 // published, and the error count -- which must be zero: every query
-// against a pinned snapshot succeeds no matter how publication
+// against a held snapshot succeeds no matter how publication
 // interleaves. The run starts with the metrics-invariance self-check
 // (the identical feed + query set replayed with metrics off and on must
 // produce bitwise-identical results), so the histogram instrumentation
@@ -68,7 +68,7 @@ Cell RunCell(int readers, int rows) {
   cell.report = std::move(got).value();
   const auto it = cell.report.metrics.histograms.find("serve.query.latency_us");
   if (it != cell.report.metrics.histograms.end()) cell.latency = it->second;
-  // The acceptance bar: a pinned snapshot serves every query; the only
+  // The acceptance bar: a held snapshot serves every query; the only
   // Status errors possible are bugs.
   DSWM_CHECK(cell.report.errors == 0);
   DSWM_CHECK(cell.report.total_queries > 0);

@@ -8,7 +8,7 @@
 // sketch-based scores separate them just like exact-window scores.
 //
 // Serving-tier flow: query results are published into a SnapshotStore as
-// immutable versions; a scorer is built from a pinned SnapshotRef and
+// immutable versions; a scorer is built from a held SnapshotRef and
 // shares the version's sealed eigendecomposition (computed exactly once
 // at publish time) with every other consumer of the same version.
 
@@ -75,7 +75,7 @@ int main() {
 
   // Publish the tracked sketch and the exact window as snapshot versions.
   // Publication seals each estimate (gram, eigenbasis, PSD root computed
-  // once); the scorers below borrow that shared cache via a pinned ref.
+  // once); the scorers below borrow that shared cache via a held ref.
   serve::SnapshotStore sketch_store;
   serve::SnapshotStore exact_store;
   const Status published_sketch =
@@ -88,12 +88,10 @@ int main() {
     return 1;
   }
 
-  serve::SnapshotReader sketch_reader(&sketch_store);
-  serve::SnapshotReader exact_reader(&exact_store);
-  const serve::SnapshotRef sketch_ref = sketch_reader.Pin();
-  const serve::SnapshotRef exact_ref = exact_reader.Pin();
-  const auto sketch_scorer = AnomalyScorer::FromSnapshot(sketch_ref);
-  const auto exact_scorer = AnomalyScorer::FromSnapshot(exact_ref);
+  const serve::SnapshotRef sketch_ref = sketch_store.Latest();
+  const serve::SnapshotRef exact_ref = exact_store.Latest();
+  const auto sketch_scorer = AnomalyScorer::FromSnapshot(*sketch_ref);
+  const auto exact_scorer = AnomalyScorer::FromSnapshot(*exact_ref);
   if (!sketch_scorer.ok() || !exact_scorer.ok()) {
     std::fprintf(stderr, "scorer construction failed\n");
     return 1;

@@ -9,7 +9,7 @@
 //
 // Serving-tier flow: the tracker's query results are published into a
 // SnapshotStore as immutable versions; the detector is constructed from
-// a pinned reference version and updated with later pinned versions.
+// the reference version and updated with each later latest version.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,7 +45,6 @@ int main() {
   serve::StoreOptions store_options;
   store_options.pca_components = 8;
   serve::SnapshotStore store(store_options);
-  serve::SnapshotReader reader(&store);
 
   ChangeDetectorOptions options;
   options.components = 8;
@@ -71,7 +70,7 @@ int main() {
         std::fprintf(stderr, "%s\n", published.ToString().c_str());
         return 1;
       }
-      detector = ChangeDetector::FromSnapshot(reader.Pin(), options);
+      detector = ChangeDetector::FromSnapshot(*store.Latest(), options);
       if (!detector.ok()) {
         std::fprintf(stderr, "%s\n", detector.status().ToString().c_str());
         return 1;
@@ -81,7 +80,7 @@ int main() {
       const Status published =
           store.Publish(tracker.Query(), row->timestamp, config.window);
       if (!published.ok()) continue;
-      const auto dist = detector.value().Update(reader.Pin());
+      const auto dist = detector.value().Update(*store.Latest());
       if (!dist.ok()) continue;
       const bool flagged = detector.value().change_detected();
       if (flagged && first_flag_row == 0) first_flag_row = i;

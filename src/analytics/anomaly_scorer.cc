@@ -4,7 +4,7 @@
 
 #include "core/covariance_estimate.h"
 #include "linalg/matrix.h"
-#include "serve/snapshot_store.h"
+#include "serve/snapshot.h"
 
 namespace dswm {
 
@@ -31,11 +31,8 @@ StatusOr<AnomalyScorer> AnomalyScorer::ForSealedEstimate(
 }
 
 StatusOr<AnomalyScorer> AnomalyScorer::FromSnapshot(
-    const serve::SnapshotRef& ref, double lambda_fraction) {
-  if (!ref.has_value()) {
-    return Status::InvalidArgument("empty snapshot ref");
-  }
-  return ForSealedEstimate(ref->estimate(), lambda_fraction);
+    const serve::Snapshot& snapshot, double lambda_fraction) {
+  return ForSealedEstimate(snapshot.estimate(), lambda_fraction);
 }
 
 double AnomalyScorer::Score(const double* x) const {

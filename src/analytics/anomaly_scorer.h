@@ -6,12 +6,12 @@
 // snapshot is an eps-covariance sketch of A_w, the score approximates the
 // exact window's score (Theorem-level argument in [15]).
 //
-// Scorers are built from a pinned serve::SnapshotRef and borrow the
-// snapshot's cached eigendecomposition (one SymmetricEigen per published
-// version, shared by every consumer). A scorer must not outlive the
-// snapshot it was built from: keep the ref pinned, or use the snapshot's
-// own memoized scorer (serve::Snapshot::scorer(), default ridge), which
-// lives exactly as long as the version.
+// Scorers are built from a published serve::Snapshot and borrow its
+// cached eigendecomposition (one SymmetricEigen per published version,
+// shared by every consumer). A scorer must not outlive the snapshot it was
+// built from: hold a serve::SnapshotRef to it, or use the snapshot's own
+// memoized scorer (serve::Snapshot::scorer(), default ridge), which lives
+// exactly as long as the version.
 
 #ifndef DSWM_ANALYTICS_ANOMALY_SCORER_H_
 #define DSWM_ANALYTICS_ANOMALY_SCORER_H_
@@ -27,23 +27,21 @@ class CovarianceEstimate;
 
 namespace serve {
 class Snapshot;
-class SnapshotRef;
 }  // namespace serve
 
-/// Precomputed scorer for one published version; build a new one when a
-/// newer version is pinned.
+/// Precomputed scorer for one published version; build a new one for a
+/// newer version.
 class AnomalyScorer {
  public:
   /// Empty scorer (dim 0); placeholder until assigned.
   AnomalyScorer() = default;
 
-  /// Builds a scorer from a pinned snapshot. `lambda_fraction` sets the
-  /// ridge as lambda = lambda_fraction * trace(C) / d (a dimensionless
-  /// knob; 0.01 is a good default -- the snapshot's memoized scorer uses
-  /// the store's configured fraction). Fails on an empty ref or a
-  /// non-positive fraction.
-  static StatusOr<AnomalyScorer> FromSnapshot(const serve::SnapshotRef& ref,
-                                              double lambda_fraction = 0.01);
+  /// Builds a scorer from a snapshot. `lambda_fraction` sets the ridge as
+  /// lambda = lambda_fraction * trace(C) / d (a dimensionless knob; 0.01
+  /// is a good default -- the snapshot's memoized scorer uses the store's
+  /// configured fraction). Fails on a non-positive fraction.
+  static StatusOr<AnomalyScorer> FromSnapshot(
+      const serve::Snapshot& snapshot, double lambda_fraction = 0.01);
 
   /// score(x) = x^T (C + lambda I)^{-1} x; O(d^2).
   double Score(const double* x) const;

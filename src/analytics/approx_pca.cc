@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "serve/snapshot_store.h"
+#include "serve/snapshot.h"
 
 namespace dswm {
 
@@ -34,12 +34,9 @@ StatusOr<ApproxPca> ApproxPca::FromEigenbasis(const EigenResult& eig, int dim,
   return pca;
 }
 
-StatusOr<ApproxPca> ApproxPca::FromSnapshot(const serve::SnapshotRef& ref,
+StatusOr<ApproxPca> ApproxPca::FromSnapshot(const serve::Snapshot& snapshot,
                                             int k) {
-  if (!ref.has_value()) {
-    return Status::InvalidArgument("empty snapshot ref");
-  }
-  return FromEigenbasis(ref->estimate().Eigen(), ref->dim(), k);
+  return FromEigenbasis(snapshot.estimate().Eigen(), snapshot.dim(), k);
 }
 
 std::vector<double> ApproxPca::Project(const double* x) const {

@@ -3,11 +3,11 @@
 // The paper's motivating application 1 (Section I): the top-k right
 // singular vectors of an eps-covariance sketch B span a subspace whose
 // captured variance is within eps * ||A||_F^2 of the optimal PCA basis of
-// A [14]. This module turns a pinned snapshot into a PCA basis, explained
-// variances, projections, and subspace comparisons. The basis is read off
-// the snapshot's cached eigendecomposition (eigenvectors of B^T B are the
-// right singular vectors of B), so construction is O(k d) copying -- the
-// O(d^3) decomposition was paid once at publication.
+// A [14]. This module turns a published snapshot into a PCA basis,
+// explained variances, projections, and subspace comparisons. The basis is
+// read off the snapshot's cached eigendecomposition (eigenvectors of B^T B
+// are the right singular vectors of B), so construction is O(k d) copying
+// -- the O(d^3) decomposition was paid once at publication.
 
 #ifndef DSWM_ANALYTICS_APPROX_PCA_H_
 #define DSWM_ANALYTICS_APPROX_PCA_H_
@@ -22,22 +22,21 @@ namespace dswm {
 
 namespace serve {
 class Snapshot;
-class SnapshotRef;
 }  // namespace serve
 
 /// A rank-k PCA basis extracted from a snapshot. Owns its basis rows, so
-/// it may outlive the pin it was built from (ChangeDetector freezes one as
-/// its reference).
+/// it may outlive the snapshot it was built from (ChangeDetector freezes
+/// one as its reference).
 class ApproxPca {
  public:
   /// An empty basis (0 components); useful as a placeholder before
   /// FromSnapshot.
   ApproxPca() = default;
 
-  /// The top-k principal directions of the pinned snapshot. Fails if
-  /// k < 1 or the ref is empty; retains fewer than k components when the
-  /// estimate has lower numerical rank.
-  static StatusOr<ApproxPca> FromSnapshot(const serve::SnapshotRef& ref,
+  /// The top-k principal directions of the snapshot. Fails if k < 1;
+  /// retains fewer than k components when the estimate has lower
+  /// numerical rank.
+  static StatusOr<ApproxPca> FromSnapshot(const serve::Snapshot& snapshot,
                                           int k);
 
   /// Number of retained components (<= requested k).

@@ -2,12 +2,12 @@
 
 #include <utility>
 
-#include "serve/snapshot_store.h"
+#include "serve/snapshot.h"
 
 namespace dswm {
 
 StatusOr<ChangeDetector> ChangeDetector::FromSnapshot(
-    const serve::SnapshotRef& reference, const ChangeDetectorOptions& options) {
+    const serve::Snapshot& reference, const ChangeDetectorOptions& options) {
   if (options.components < 1) {
     return Status::InvalidArgument("components must be >= 1");
   }
@@ -26,7 +26,7 @@ StatusOr<ChangeDetector> ChangeDetector::FromSnapshot(
   return detector;
 }
 
-StatusOr<double> ChangeDetector::Update(const serve::SnapshotRef& current) {
+StatusOr<double> ChangeDetector::Update(const serve::Snapshot& current) {
   auto pca = ApproxPca::FromSnapshot(current, options_.components);
   DSWM_RETURN_NOT_OK(pca.status());
   const double distance = 1.0 - reference_.Affinity(pca.value());

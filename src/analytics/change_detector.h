@@ -1,12 +1,12 @@
 // PCA-based change detection over published snapshots
 // (paper Section I application 1; cf. Qahtan et al. [24]).
 //
-// A reference PCA basis is frozen from a pinned snapshot; afterwards,
+// A reference PCA basis is frozen from a published snapshot; afterwards,
 // each Update() compares the current version's basis to it and raises a
 // change when the subspace distance (1 - mean squared principal cosine)
 // exceeds an adaptive threshold calibrated from the quiet period. The
 // detector deep-copies the reference basis, so it remains valid after the
-// reference pin is released.
+// reference snapshot is freed.
 
 #ifndef DSWM_ANALYTICS_CHANGE_DETECTOR_H_
 #define DSWM_ANALYTICS_CHANGE_DETECTOR_H_
@@ -34,14 +34,14 @@ struct ChangeDetectorOptions {
 class ChangeDetector {
  public:
   /// Creates a detector with a frozen reference basis extracted from the
-  /// pinned snapshot (typically the version published at the end of the
+  /// snapshot (typically the version published at the end of the
   /// reference window).
   static StatusOr<ChangeDetector> FromSnapshot(
-      const serve::SnapshotRef& reference, const ChangeDetectorOptions& options);
+      const serve::Snapshot& reference, const ChangeDetectorOptions& options);
 
   /// Feeds the current testing-window snapshot; returns the subspace
   /// distance in [0, 1] and updates the change flag.
-  StatusOr<double> Update(const serve::SnapshotRef& current);
+  StatusOr<double> Update(const serve::Snapshot& current);
 
   /// True once a change has been raised (sticky until Reset()).
   bool change_detected() const { return change_detected_; }

@@ -3,9 +3,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
-#include <istream>
-#include <limits>
 #include <ostream>
 #include <vector>
 
@@ -16,7 +13,7 @@ namespace {
 constexpr char kMagic[4] = {'D', 'S', 'W', 'M'};
 constexpr uint32_t kVersion = 1;
 
-// Binary I/O is staged through a char buffer with std::memcpy (which takes
+// Binary output is staged through a char buffer with std::memcpy (which takes
 // void*, needing no cast) instead of reinterpret_cast'ing object pointers
 // to char*: type-punning casts are confined to src/net framing by semlint
 // rule cast-confinement, and matrix I/O is nowhere near hot enough for the
@@ -26,13 +23,6 @@ void WritePod(std::ostream* out, const T& v) {
   char buf[sizeof(T)];
   std::memcpy(buf, &v, sizeof(T));
   out->write(buf, sizeof(T));
-}
-
-template <typename T>
-void ReadPod(std::istream* in, T* v) {
-  char buf[sizeof(T)];
-  in->read(buf, sizeof(T));
-  if (*in) std::memcpy(v, buf, sizeof(T));
 }
 
 }  // namespace
@@ -57,78 +47,10 @@ Status WriteMatrixBinary(const Matrix& m, std::ostream* out) {
   return Status::OK();
 }
 
-StatusOr<Matrix> ReadMatrixBinary(std::istream* in) {
-  char magic[4];
-  in->read(magic, 4);
-  if (!*in || std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::InvalidArgument("bad magic: not a dswm matrix");
-  }
-  uint32_t version = 0;
-  int64_t rows = 0;
-  int64_t cols = 0;
-  ReadPod(in, &version);
-  ReadPod(in, &rows);
-  ReadPod(in, &cols);
-  if (!*in) return Status::InvalidArgument("truncated matrix header");
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported matrix format version " +
-                                   std::to_string(version));
-  }
-  if (rows < 0 || cols < 0 || rows > (1LL << 32) || cols > (1LL << 32)) {
-    return Status::InvalidArgument("implausible matrix shape");
-  }
-  Matrix m(static_cast<int>(rows), static_cast<int>(cols));
-  const size_t payload = static_cast<size_t>(rows * cols) * sizeof(double);
-  if (payload != 0) {
-    std::vector<char> buf(payload);
-    in->read(buf.data(), static_cast<std::streamsize>(payload));
-    if (!*in) return Status::InvalidArgument("truncated matrix payload");
-    std::memcpy(m.data(), buf.data(), payload);
-  }
-  return m;
-}
-
 Status SaveMatrixBinary(const Matrix& m, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   return WriteMatrixBinary(m, &out);
-}
-
-StatusOr<Matrix> LoadMatrixBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  return ReadMatrixBinary(&in);
-}
-
-Status WriteMatrixText(const Matrix& m, std::ostream* out) {
-  *out << m.rows() << ' ' << m.cols() << '\n';
-  *out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (int i = 0; i < m.rows(); ++i) {
-    for (int j = 0; j < m.cols(); ++j) {
-      if (j > 0) *out << ' ';
-      *out << m(i, j);
-    }
-    *out << '\n';
-  }
-  if (!*out) return Status::IoError("matrix write failed");
-  return Status::OK();
-}
-
-StatusOr<Matrix> ReadMatrixText(std::istream* in) {
-  long long rows = -1;
-  long long cols = -1;
-  if (!(*in >> rows >> cols) || rows < 0 || cols < 0) {
-    return Status::InvalidArgument("bad text matrix header");
-  }
-  Matrix m(static_cast<int>(rows), static_cast<int>(cols));
-  for (long long i = 0; i < rows; ++i) {
-    for (long long j = 0; j < cols; ++j) {
-      if (!(*in >> m(static_cast<int>(i), static_cast<int>(j)))) {
-        return Status::InvalidArgument("truncated text matrix");
-      }
-    }
-  }
-  return m;
 }
 
 }  // namespace dswm

@@ -1,7 +1,18 @@
-// Matrix (de)serialization: a versioned little-endian binary format and
-// a human-readable text form. Lets applications persist tracked sketches
-// (e.g. freeze a reference-window PCA basis to disk and reload it in a
-// later monitoring session).
+// Matrix serialization: a versioned binary format that lets applications
+// persist tracked sketches (`dswm_cli run --save-sketch`).
+//
+// Layout (no padding; fields in host byte order, which is little-endian
+// on x86-64):
+//
+//   offset  size          field
+//   0       4             magic "DSWM"
+//   4       4             u32 format version (1)
+//   8       8             i64 rows
+//   16      8             i64 cols
+//   24      8*rows*cols   f64 entries, row-major
+//
+// An external reader can load the payload directly, e.g. with numpy:
+// np.fromfile(path, dtype="<f8", offset=24).reshape(rows, cols).
 
 #ifndef DSWM_LINALG_MATRIX_IO_H_
 #define DSWM_LINALG_MATRIX_IO_H_
@@ -14,22 +25,9 @@
 
 namespace dswm {
 
-/// Writes `m` in the dswm binary format ("DSWM" magic, version, shape,
-/// row-major doubles).
+/// Writes `m` in the binary layout above.
 Status WriteMatrixBinary(const Matrix& m, std::ostream* out);
 Status SaveMatrixBinary(const Matrix& m, const std::string& path);
-
-/// Reads a matrix written by WriteMatrixBinary. Rejects corrupt or
-/// truncated input.
-StatusOr<Matrix> ReadMatrixBinary(std::istream* in);
-StatusOr<Matrix> LoadMatrixBinary(const std::string& path);
-
-/// Writes "rows cols" then one whitespace-separated row per line, full
-/// precision (round-trips exactly through text).
-Status WriteMatrixText(const Matrix& m, std::ostream* out);
-
-/// Reads the text form.
-StatusOr<Matrix> ReadMatrixText(std::istream* in);
 
 }  // namespace dswm
 

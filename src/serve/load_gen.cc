@@ -85,7 +85,6 @@ StatusOr<LoadGenReport> RunServingLoad(const LoadGenOptions& options) {
 
   SnapshotStore::Options store_options;
   store_options.pca_components = options.pca_components;
-  store_options.max_readers = options.reader_threads + 2;
   store_options.on_publish = [&](const Snapshot&) {
     MutexLock lock(gate_mu);
     if (!first_published) {
@@ -201,7 +200,7 @@ StatusOr<LoadGenReport> RunServingLoad(const LoadGenOptions& options) {
   report.qps = elapsed_seconds > 0.0
                    ? static_cast<double>(report.total_queries) / elapsed_seconds
                    : 0.0;
-  report.versions_published = static_cast<uint64_t>(store.published_count());
+  report.versions_published = store.latest_version();
   report.run = std::move(feed).value();
   if (metrics_on) {
     report.metrics = obs::Registry().Snapshot().DeltaSince(metrics_base);
@@ -260,7 +259,7 @@ Status RunDeterministicPass(const LoadGenOptions& options,
     flat->push_back(change.value().distance);
     flat->push_back(static_cast<double>(change.value().meta.version));
   }
-  flat->push_back(static_cast<double>(store.published_count()));
+  flat->push_back(static_cast<double>(store.latest_version()));
   return Status::OK();
 }
 

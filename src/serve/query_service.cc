@@ -18,24 +18,27 @@ Status DimMismatch(int got, int want) {
 
 }  // namespace
 
-StatusOr<SnapshotRef> QueryService::Session::PinLatest() {
-  SnapshotRef ref = reader_.Pin();
-  if (!ref.has_value()) {
-    return Status::FailedPrecondition("no snapshot published yet");
+StatusOr<const Snapshot*> QueryService::Session::Current() {
+  // Compare versions before touching the store's mutex: between publishes
+  // a query reads through the held ref without any shared write.
+  if (held_ == nullptr || held_->meta().version != store_->latest_version()) {
+    held_ = store_->Latest();
+    if (held_ == nullptr) {
+      return Status::FailedPrecondition("no snapshot published yet");
+    }
   }
-  last_version_ = ref.meta().version;
-  return ref;
+  return held_.get();
 }
 
 StatusOr<PcaResult> QueryService::Session::Pca(const double* x, int dim) {
-  auto pinned = PinLatest();
-  DSWM_RETURN_NOT_OK(pinned.status());
-  const SnapshotRef ref = std::move(pinned).value();
-  if (dim != ref->dim()) return DimMismatch(dim, ref->dim());
+  auto current = Current();
+  DSWM_RETURN_NOT_OK(current.status());
+  const Snapshot& snapshot = *current.value();
+  if (dim != snapshot.dim()) return DimMismatch(dim, snapshot.dim());
 
-  const ApproxPca& pca = ref->pca();
+  const ApproxPca& pca = snapshot.pca();
   PcaResult result;
-  result.meta = ref.meta();
+  result.meta = snapshot.meta();
   result.components = pca.components();
   result.captured_fraction = pca.captured_fraction();
   result.explained_variance = pca.explained_variance();
@@ -47,30 +50,30 @@ StatusOr<PcaResult> QueryService::Session::Pca(const double* x, int dim) {
 
 StatusOr<AnomalyResult> QueryService::Session::Anomaly(const double* x,
                                                        int dim) {
-  auto pinned = PinLatest();
-  DSWM_RETURN_NOT_OK(pinned.status());
-  const SnapshotRef ref = std::move(pinned).value();
-  if (dim != ref->dim()) return DimMismatch(dim, ref->dim());
+  auto current = Current();
+  DSWM_RETURN_NOT_OK(current.status());
+  const Snapshot& snapshot = *current.value();
+  if (dim != snapshot.dim()) return DimMismatch(dim, snapshot.dim());
 
   AnomalyResult result;
-  result.meta = ref.meta();
-  result.score = ref->scorer().Score(x);
-  result.lambda = ref->scorer().lambda();
+  result.meta = snapshot.meta();
+  result.score = snapshot.scorer().Score(x);
+  result.lambda = snapshot.scorer().lambda();
   DSWM_OBS_COUNT("serve.query.anomaly", 1);
   return result;
 }
 
 StatusOr<ChangeResult> QueryService::Session::Change() {
-  auto pinned = PinLatest();
-  DSWM_RETURN_NOT_OK(pinned.status());
-  const SnapshotRef ref = std::move(pinned).value();
+  auto current = Current();
+  DSWM_RETURN_NOT_OK(current.status());
+  const Snapshot& snapshot = *current.value();
 
   if (!detector_.has_value()) {
-    auto detector = ChangeDetector::FromSnapshot(ref, change_options_);
+    auto detector = ChangeDetector::FromSnapshot(snapshot, change_options_);
     DSWM_RETURN_NOT_OK(detector.status());
     detector_ = std::move(detector).value();
-    change_evaluated_version_ = ref.meta().version;
-    last_change_.meta = ref.meta();
+    change_evaluated_version_ = snapshot.meta().version;
+    last_change_.meta = snapshot.meta();
     last_change_.reference_version = detector_->reference_version();
     last_change_.distance = 0.0;
     last_change_.baseline = detector_->baseline();
@@ -79,11 +82,11 @@ StatusOr<ChangeResult> QueryService::Session::Change() {
     return last_change_;
   }
 
-  if (ref.meta().version > change_evaluated_version_) {
-    auto distance = detector_->Update(ref);
+  if (snapshot.meta().version > change_evaluated_version_) {
+    auto distance = detector_->Update(snapshot);
     DSWM_RETURN_NOT_OK(distance.status());
-    change_evaluated_version_ = ref.meta().version;
-    last_change_.meta = ref.meta();
+    change_evaluated_version_ = snapshot.meta().version;
+    last_change_.meta = snapshot.meta();
     last_change_.reference_version = detector_->reference_version();
     last_change_.distance = distance.value();
     last_change_.baseline = detector_->baseline();

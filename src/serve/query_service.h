@@ -3,10 +3,11 @@
 // A QueryService fronts one SnapshotStore with typed, versioned results:
 // every answer carries the SnapshotMeta of the exact version that produced
 // it, so high-QPS readers can reason about staleness and reproducibility.
-// Callers obtain a Session per thread (it owns one wait-free reader slot);
-// each query pins the latest version for exactly the duration of the
-// computation, so publication never blocks on readers and readers never
-// block at all.
+// Callers obtain a Session per thread. A session holds the version that
+// answered its last query and fetches a new one from the store only when
+// the store's version number has moved, so between publishes a query
+// finds its snapshot with one atomic load; the store's mutex is taken
+// once per session per version.
 //
 //   QueryService service(&store);
 //   QueryService::Session session = service.NewSession();   // per thread
@@ -68,7 +69,9 @@ class QueryService {
                         ChangeDetectorOptions change_options = {})
       : store_(store), change_options_(change_options) {}
 
-  /// One reader's handle; create one per querying thread. Move-only.
+  /// One reader's handle; create one per querying thread. An idle
+  /// session keeps at most one old version alive, until its next query or
+  /// its destruction.
   class Session {
    public:
     /// Projects x (length `dim`) onto the latest version's PCA basis.
@@ -84,24 +87,26 @@ class QueryService {
     /// verdict is returned unchanged.
     [[nodiscard]] StatusOr<ChangeResult> Change();
 
-    /// Version answering the most recent successful query (0 if none).
-    [[nodiscard]] uint64_t last_version() const { return last_version_; }
+    /// Version answering the most recent query (0 if none).
+    [[nodiscard]] uint64_t last_version() const {
+      return held_ == nullptr ? 0 : held_->meta().version;
+    }
 
    private:
     friend class QueryService;
     Session(SnapshotStore* store, const ChangeDetectorOptions& options)
-        : reader_(store), change_options_(options) {}
+        : store_(store), change_options_(options) {}
 
-    /// FailedPrecondition before the first publish; otherwise a pinned
-    /// ref recorded as last_version_.
-    [[nodiscard]] StatusOr<SnapshotRef> PinLatest();
+    /// The latest version, held in held_ and re-fetched only when the
+    /// store's version moved. FailedPrecondition before the first publish.
+    [[nodiscard]] StatusOr<const Snapshot*> Current();
 
-    SnapshotReader reader_;
+    SnapshotStore* store_;
+    SnapshotRef held_;
     ChangeDetectorOptions change_options_;
     std::optional<ChangeDetector> detector_;
     uint64_t change_evaluated_version_ = 0;
     ChangeResult last_change_;
-    uint64_t last_version_ = 0;
   };
 
   [[nodiscard]] Session NewSession() {

@@ -1,7 +1,5 @@
 #include "serve/snapshot_store.h"
 
-#include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -10,25 +8,16 @@
 namespace dswm {
 namespace serve {
 
-SnapshotStore::SnapshotStore(Options options)
-    : options_(std::move(options)),
-      slots_(static_cast<size_t>(std::max(options_.max_readers, 1))) {
+SnapshotStore::SnapshotStore(Options options) : options_(std::move(options)) {
   DSWM_CHECK_GE(options_.pca_components, 1);
   DSWM_CHECK_GT(options_.lambda_fraction, 0.0);
-}
-
-SnapshotStore::~SnapshotStore() {
-  MutexLock lock(mu_);
-  for (const ReaderSlot& slot : slots_) DSWM_CHECK(!slot.claimed);
-  for (const Retired& r : retired_) delete r.snapshot;
-  delete latest_.load(std::memory_order_acquire);
 }
 
 Status SnapshotStore::Publish(CovarianceEstimate estimate,
                               Timestamp published_at, Timestamp window) {
   MutexLock lock(mu_);
   SnapshotMeta meta;
-  meta.version = next_version_ + 1;
+  meta.version = latest_version() + 1;
   meta.published_at = published_at;
   meta.window = window;
   meta.window_start = published_at - window + 1;
@@ -36,144 +25,17 @@ Status SnapshotStore::Publish(CovarianceEstimate estimate,
                                options_.pca_components,
                                options_.lambda_fraction);
   DSWM_RETURN_NOT_OK(built.status());
-  ++next_version_;
 
-  // Swap first, then bump the epoch: a reader that announces epoch >= R
-  // (the post-bump value) is guaranteed to load the new pointer, which is
-  // what makes retiring the predecessor at R safe.
-  const Snapshot* fresh = std::move(built).value().release();
-  const Snapshot* old = latest_.load(std::memory_order_relaxed);
-  latest_.store(fresh, std::memory_order_seq_cst);
-  const uint64_t retire_epoch =
-      global_epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
-  if (old != nullptr) retired_.push_back(Retired{old, retire_epoch});
-  Reclaim();
-
+  latest_ = std::move(built).value();
+  latest_version_.store(meta.version, std::memory_order_release);
   DSWM_OBS_COUNT("serve.store.published", 1);
-  if (options_.on_publish) options_.on_publish(*fresh);
+  if (options_.on_publish) options_.on_publish(*latest_);
   return Status::OK();
 }
 
-void SnapshotStore::Reclaim() {
-  uint64_t min_announced = kQuiescent;
-  for (const ReaderSlot& slot : slots_) {
-    if (!slot.claimed) continue;
-    min_announced = std::min(min_announced,
-                             slot.epoch.load(std::memory_order_seq_cst));
-  }
-  size_t kept = 0;
-  for (size_t i = 0; i < retired_.size(); ++i) {
-    // Free iff every claimed slot has announced >= the retire epoch (a
-    // quiescent slot announces kQuiescent = +inf). Readers announced
-    // below it may still hold the pointer; keep those versions.
-    if (retired_[i].retire_epoch <= min_announced) {
-      delete retired_[i].snapshot;
-      ++reclaimed_;
-      DSWM_OBS_COUNT("serve.store.reclaimed", 1);
-    } else {
-      retired_[kept++] = retired_[i];
-    }
-  }
-  retired_.resize(kept);
-}
-
-long SnapshotStore::published_count() const {
+SnapshotRef SnapshotStore::Latest() const {
   MutexLock lock(mu_);
-  return static_cast<long>(next_version_);
-}
-
-long SnapshotStore::reclaimed_count() const {
-  MutexLock lock(mu_);
-  return reclaimed_;
-}
-
-long SnapshotStore::retired_pending() const {
-  MutexLock lock(mu_);
-  return static_cast<long>(retired_.size());
-}
-
-SnapshotStore::ReaderSlot* SnapshotStore::ClaimSlot() {
-  MutexLock lock(mu_);
-  for (ReaderSlot& slot : slots_) {
-    if (!slot.claimed) {
-      slot.claimed = true;
-      slot.epoch.store(kQuiescent, std::memory_order_seq_cst);
-      return &slot;
-    }
-  }
-  DSWM_CHECK(false);  // raise SnapshotStore::Options::max_readers
-  return nullptr;
-}
-
-void SnapshotStore::ReleaseSlot(ReaderSlot* slot) {
-  MutexLock lock(mu_);
-  slot->epoch.store(kQuiescent, std::memory_order_seq_cst);
-  slot->claimed = false;
-  // The departing reader can no longer constrain reclamation; drain any
-  // versions it alone was holding back.
-  Reclaim();
-}
-
-SnapshotReader::SnapshotReader(SnapshotStore* store)
-    : store_(store), slot_(store->ClaimSlot()) {}
-
-SnapshotReader::SnapshotReader(SnapshotReader&& other) noexcept
-    : store_(other.store_), slot_(other.slot_), pin_depth_(other.pin_depth_) {
-  DSWM_CHECK(other.pin_depth_ == 0);  // refs hold a pointer to their reader
-  other.store_ = nullptr;
-  other.slot_ = nullptr;
-}
-
-SnapshotReader::~SnapshotReader() {
-  if (store_ == nullptr) return;  // moved-from
-  DSWM_CHECK(pin_depth_ == 0);
-  store_->ReleaseSlot(slot_);
-}
-
-SnapshotRef SnapshotReader::Pin() {
-  DSWM_CHECK(store_ != nullptr);
-  if (++pin_depth_ == 1) {
-    // Announce before loading: the publisher's swap-then-bump order plus
-    // seq_cst makes a missed announcement imply we load the new pointer
-    // (see the header's safety argument).
-    slot_->epoch.store(store_->global_epoch_.load(std::memory_order_seq_cst),
-                       std::memory_order_seq_cst);
-  }
-  const Snapshot* snapshot =
-      store_->latest_.load(std::memory_order_seq_cst);
-  if (snapshot == nullptr) {
-    Unpin();
-    return SnapshotRef();
-  }
-  return SnapshotRef(this, snapshot);
-}
-
-void SnapshotReader::Unpin() {
-  DSWM_CHECK(pin_depth_ > 0);
-  if (--pin_depth_ == 0) {
-    slot_->epoch.store(SnapshotStore::kQuiescent, std::memory_order_release);
-  }
-}
-
-SnapshotRef::~SnapshotRef() {
-  if (reader_ != nullptr) reader_->Unpin();
-}
-
-SnapshotRef::SnapshotRef(SnapshotRef&& other) noexcept
-    : reader_(other.reader_), snapshot_(other.snapshot_) {
-  other.reader_ = nullptr;
-  other.snapshot_ = nullptr;
-}
-
-SnapshotRef& SnapshotRef::operator=(SnapshotRef&& other) noexcept {
-  if (this != &other) {
-    if (reader_ != nullptr) reader_->Unpin();
-    reader_ = other.reader_;
-    snapshot_ = other.snapshot_;
-    other.reader_ = nullptr;
-    other.snapshot_ = nullptr;
-  }
-  return *this;
+  return latest_;
 }
 
 }  // namespace serve

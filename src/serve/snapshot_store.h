@@ -1,24 +1,16 @@
-// Versioned snapshot store with wait-free readers and epoch-based
-// reclamation -- the publish/read seam of the serving tier.
+// Versioned snapshot store -- the publish/read seam of the serving tier.
 //
-// Shape: an RCU-style atomic pointer to the latest immutable Snapshot,
-// plus a fixed array of per-reader announcement slots. Publication (rare,
-// serialized by a dswm::Mutex) builds the fully-materialized snapshot,
-// swaps the latest pointer, bumps the global epoch, and retires the
-// predecessor; a retired version is freed only once every claimed slot has
-// announced an epoch at or past its retirement epoch. The read path is
-// wait-free: Pin() is three seq_cst atomic accesses (load global epoch,
-// announce it in the reader's own slot, load the latest pointer) -- no
-// loops, no CAS, no locks.
+// The store keeps the latest immutable Snapshot behind a mutex-guarded
+// std::shared_ptr. Publication (rare, serialized by the mutex) builds the
+// fully-materialized snapshot and swaps it in; Latest() copies the pointer
+// under the same mutex. A version is freed when the store and its last
+// holder have both dropped it, so a reader keeps whatever version it holds
+// alive for as long as it needs, and refs may outlive the store.
 //
-// Safety argument (the scan-miss race): the publisher swaps the latest
-// pointer *before* bumping the epoch to R and scanning slots; a reader
-// announces *before* loading the pointer. Under seq_cst, if the
-// publisher's scan missed a reader's announcement of an epoch < R, then
-// that announcement is ordered after the scan, hence after the swap, so
-// the reader's subsequent pointer load sees the new version -- it cannot
-// hold the one retired at R. A stale announcement is therefore only ever
-// conservative: it delays reclamation, never makes it unsafe.
+// Readers that query often should not copy the pointer on every read (the
+// mutex and the shared refcount contend across threads): keep the ref and
+// fetch a new one only when latest_version() -- one atomic load -- moves,
+// as QueryService::Session does.
 
 #ifndef DSWM_SERVE_SNAPSHOT_STORE_H_
 #define DSWM_SERVE_SNAPSHOT_STORE_H_
@@ -26,7 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <memory>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -36,8 +28,9 @@
 namespace dswm {
 namespace serve {
 
-class SnapshotReader;
-class SnapshotRef;
+/// A held version: the snapshot (and everything memoized on it) stays
+/// alive while any ref to it does.
+using SnapshotRef = std::shared_ptr<const Snapshot>;
 
 /// Store construction knobs.
 struct StoreOptions {
@@ -45,143 +38,46 @@ struct StoreOptions {
   int pca_components = 8;
   /// Ridge fraction of the memoized anomaly scorer.
   double lambda_fraction = 0.01;
-  /// Maximum concurrently-live SnapshotReader handles.
-  int max_readers = 64;
   /// Test hook: called under the publication lock after each version is
   /// swapped in. Used by the bit-identity suite to record per-version
   /// bytes; leave empty in production paths.
   std::function<void(const Snapshot&)> on_publish;
 };
 
-/// The store. Publishers serialize on an internal mutex; readers never
-/// block (and never make a publisher wait beyond deferred reclamation).
+/// The store. Publishers and Latest() serialize on an internal mutex;
+/// latest_version() is lock-free.
 class SnapshotStore {
  public:
   using Options = StoreOptions;
 
   explicit SnapshotStore(Options options = Options());
-  ~SnapshotStore();
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
 
   /// Publishes `estimate` as the next version: materializes every view
   /// (gram, eigenbasis, PSD root -- each exactly once), memoizes the PCA
-  /// basis and default scorer, swaps the version in, and reclaims
-  /// quiescent predecessors. InvalidArgument on an empty estimate;
-  /// propagates construction failures without changing the published
-  /// version. `published_at` stamps the triggering row's timestamp;
-  /// `window` the coverage length.
+  /// basis and default scorer, and swaps the version in. InvalidArgument
+  /// on an empty estimate; propagates construction failures without
+  /// changing the published version. `published_at` stamps the triggering
+  /// row's timestamp; `window` the coverage length.
   Status Publish(CovarianceEstimate estimate, Timestamp published_at,
                  Timestamp window) DSWM_EXCLUDES(mu_);
+
+  /// The latest published version; null before the first Publish.
+  [[nodiscard]] SnapshotRef Latest() const DSWM_EXCLUDES(mu_);
 
   /// Version of the latest published snapshot (0 before the first
   /// Publish). One acquire load; safe from any thread.
   [[nodiscard]] uint64_t latest_version() const {
-    const Snapshot* s = latest_.load(std::memory_order_acquire);
-    return s == nullptr ? 0 : s->meta().version;
+    return latest_version_.load(std::memory_order_acquire);
   }
 
-  /// Introspection for tests: versions published, versions freed, and
-  /// retired-but-not-yet-freed versions (readers still announced below
-  /// their retire epoch).
-  [[nodiscard]] long published_count() const DSWM_EXCLUDES(mu_);
-  [[nodiscard]] long reclaimed_count() const DSWM_EXCLUDES(mu_);
-  [[nodiscard]] long retired_pending() const DSWM_EXCLUDES(mu_);
-
  private:
-  friend class SnapshotReader;
-
-  /// Announced by a claimed slot whose reader is not inside a pin.
-  static constexpr uint64_t kQuiescent = ~uint64_t{0};
-
-  struct alignas(64) ReaderSlot {
-    std::atomic<uint64_t> epoch{kQuiescent};
-    bool claimed = false;  // guarded by the owning store's mu_
-  };
-
-  struct Retired {
-    const Snapshot* snapshot;
-    uint64_t retire_epoch;
-  };
-
-  ReaderSlot* ClaimSlot() DSWM_EXCLUDES(mu_);
-  void ReleaseSlot(ReaderSlot* slot) DSWM_EXCLUDES(mu_);
-  /// Frees every retired version whose retire epoch is at or below the
-  /// minimum epoch announced by a claimed slot.
-  void Reclaim() DSWM_REQUIRES(mu_);
-
   Options options_;
-  std::atomic<const Snapshot*> latest_{nullptr};
-  std::atomic<uint64_t> global_epoch_{1};
-  std::vector<ReaderSlot> slots_;
-
   mutable Mutex mu_;
-  uint64_t next_version_ DSWM_GUARDED_BY(mu_) = 0;
-  std::vector<Retired> retired_ DSWM_GUARDED_BY(mu_);
-  long reclaimed_ DSWM_GUARDED_BY(mu_) = 0;
-};
-
-/// A per-thread read handle owning one announcement slot. Claiming takes
-/// the store lock once; every Pin() afterwards is wait-free. Not
-/// thread-safe itself: one reader per thread. Must not outlive the store,
-/// and must be destroyed (or not moved) only with no live refs.
-class SnapshotReader {
- public:
-  /// Claims a slot; CHECK-fails when the store's max_readers slots are all
-  /// claimed (size Options::max_readers for the expected thread count).
-  explicit SnapshotReader(SnapshotStore* store);
-  ~SnapshotReader();
-
-  SnapshotReader(SnapshotReader&& other) noexcept;
-  SnapshotReader& operator=(SnapshotReader&&) = delete;
-  SnapshotReader(const SnapshotReader&) = delete;
-  SnapshotReader& operator=(const SnapshotReader&) = delete;
-
-  /// Pins the latest published version: announces the current epoch in
-  /// this reader's slot and acquire-loads the latest pointer. Wait-free
-  /// (no loops, no locks). Returns an empty ref before the first Publish.
-  /// Pins nest: the slot stays announced until the outermost ref drops.
-  [[nodiscard]] SnapshotRef Pin();
-
- private:
-  friend class SnapshotRef;
-
-  void Unpin();
-
-  SnapshotStore* store_;
-  SnapshotStore::ReaderSlot* slot_;
-  int pin_depth_ = 0;
-};
-
-/// A pinned version: keeps the snapshot (and everything memoized on it)
-/// alive until destruction. Move-only; must not outlive its reader.
-class SnapshotRef {
- public:
-  SnapshotRef() = default;
-  ~SnapshotRef();
-
-  SnapshotRef(SnapshotRef&& other) noexcept;
-  SnapshotRef& operator=(SnapshotRef&& other) noexcept;
-  SnapshotRef(const SnapshotRef&) = delete;
-  SnapshotRef& operator=(const SnapshotRef&) = delete;
-
-  /// False for a default-constructed ref or a pin taken before the first
-  /// Publish.
-  [[nodiscard]] bool has_value() const { return snapshot_ != nullptr; }
-  explicit operator bool() const { return has_value(); }
-
-  const Snapshot& operator*() const { return *snapshot_; }
-  const Snapshot* operator->() const { return snapshot_; }
-  [[nodiscard]] const SnapshotMeta& meta() const { return snapshot_->meta(); }
-
- private:
-  friend class SnapshotReader;
-
-  SnapshotRef(SnapshotReader* reader, const Snapshot* snapshot)
-      : reader_(reader), snapshot_(snapshot) {}
-
-  SnapshotReader* reader_ = nullptr;
-  const Snapshot* snapshot_ = nullptr;
+  SnapshotRef latest_ DSWM_GUARDED_BY(mu_);
+  /// Written only under mu_, after latest_ is swapped.
+  std::atomic<uint64_t> latest_version_{0};
 };
 
 }  // namespace serve

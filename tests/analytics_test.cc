@@ -1,5 +1,5 @@
 // Analytics built on the serving tier: every scorer/basis/detector is
-// constructed from a pinned snapshot of a single-version SnapshotStore
+// constructed from a published snapshot of a single-version SnapshotStore
 // (the snapshot-API successor of the old matrix-style constructors).
 
 #include <cmath>
@@ -33,17 +33,16 @@ Matrix RowsInSubspace(const Matrix& basis, int n, double noise,
   return rows;
 }
 
-// One published version, pinned: the snapshot-API equivalent of handing a
+// One published version, held: the snapshot-API equivalent of handing a
 // sketch matrix straight to an analytics constructor.
 struct Published {
-  explicit Published(Matrix rows) : reader(&store) {
+  explicit Published(Matrix rows) {
     status = store.Publish(CovarianceEstimate::FromRows(std::move(rows)),
                            /*published_at=*/100, /*window=*/100);
-    if (status.ok()) ref = reader.Pin();
+    if (status.ok()) ref = store.Latest();
   }
 
   serve::SnapshotStore store;
-  serve::SnapshotReader reader;
   Status status = Status::OK();
   serve::SnapshotRef ref;
 };
@@ -56,14 +55,14 @@ TEST(ApproxPca, RecoversPlantedSubspace) {
   Published data(RowsInSubspace(basis, 400, 0.01, 2));
   ASSERT_TRUE(data.status.ok());
 
-  const auto pca = ApproxPca::FromSnapshot(data.ref, k);
+  const auto pca = ApproxPca::FromSnapshot(*data.ref, k);
   ASSERT_TRUE(pca.ok());
   EXPECT_EQ(pca.value().components(), k);
   EXPECT_GT(pca.value().captured_fraction(), 0.99);
 
   // The recovered basis must span the planted one.
   Published planted_snapshot(basis);
-  const auto planted = ApproxPca::FromSnapshot(planted_snapshot.ref, k);
+  const auto planted = ApproxPca::FromSnapshot(*planted_snapshot.ref, k);
   ASSERT_TRUE(planted.ok());
   EXPECT_GT(pca.value().Affinity(planted.value()), 0.99);
 }
@@ -75,7 +74,7 @@ TEST(ApproxPca, ExplainedVarianceDescending) {
     for (int j = 0; j < 8; ++j) rows(i, j) = rng.NextGaussian() * (8 - j);
   }
   Published data(std::move(rows));
-  const auto pca = ApproxPca::FromSnapshot(data.ref, 8);
+  const auto pca = ApproxPca::FromSnapshot(*data.ref, 8);
   ASSERT_TRUE(pca.ok());
   const auto& ev = pca.value().explained_variance();
   for (size_t i = 1; i < ev.size(); ++i) EXPECT_GE(ev[i - 1], ev[i]);
@@ -85,7 +84,7 @@ TEST(ApproxPca, ProjectAndReconstructionError) {
   Matrix basis(1, 3);
   basis(0, 0) = 1.0;  // e1
   Published data(std::move(basis));
-  const auto pca = ApproxPca::FromSnapshot(data.ref, 1);
+  const auto pca = ApproxPca::FromSnapshot(*data.ref, 1);
   ASSERT_TRUE(pca.ok());
   const double x[] = {2.0, 3.0, 0.0};
   const auto coeffs = pca.value().Project(x);
@@ -99,15 +98,15 @@ TEST(ApproxPca, RankDeficientKeepsFewerComponents) {
   rows(0, 2) = 1.0;
   rows(1, 2) = 2.0;  // rank 1
   Published data(std::move(rows));
-  const auto pca = ApproxPca::FromSnapshot(data.ref, 4);
+  const auto pca = ApproxPca::FromSnapshot(*data.ref, 4);
   ASSERT_TRUE(pca.ok());
   EXPECT_EQ(pca.value().components(), 1);
 }
 
-TEST(ApproxPca, RejectsBadKAndEmptyRef) {
+TEST(ApproxPca, RejectsBadK) {
   Published data(Matrix(2, 2));
-  EXPECT_FALSE(ApproxPca::FromSnapshot(data.ref, 0).ok());
-  EXPECT_FALSE(ApproxPca::FromSnapshot(serve::SnapshotRef(), 2).ok());
+  ASSERT_TRUE(data.status.ok());
+  EXPECT_FALSE(ApproxPca::FromSnapshot(*data.ref, 0).ok());
 }
 
 TEST(ApproxPca, AffinityOrthogonalSubspacesIsZero) {
@@ -117,8 +116,8 @@ TEST(ApproxPca, AffinityOrthogonalSubspacesIsZero) {
   e2(0, 1) = 1.0;
   Published pub_a(std::move(e1));
   Published pub_b(std::move(e2));
-  const auto a = ApproxPca::FromSnapshot(pub_a.ref, 1);
-  const auto b = ApproxPca::FromSnapshot(pub_b.ref, 1);
+  const auto a = ApproxPca::FromSnapshot(*pub_a.ref, 1);
+  const auto b = ApproxPca::FromSnapshot(*pub_b.ref, 1);
   EXPECT_NEAR(a.value().Affinity(b.value()), 0.0, 1e-12);
   EXPECT_NEAR(a.value().Affinity(a.value()), 1.0, 1e-12);
 }
@@ -130,9 +129,8 @@ TEST(ChangeDetector, FlagsSubspaceRotationOnly) {
   const Matrix basis_b = RandomOrthonormalRows(3, d, &rng);
 
   // One store, many versions: the detector freezes its reference from
-  // version 1 and each Update() pins the then-latest version.
+  // version 1 and each Update() reads the then-latest version.
   serve::SnapshotStore store;
-  serve::SnapshotReader reader(&store);
   auto publish = [&](Matrix rows, Timestamp at) {
     return store.Publish(CovarianceEstimate::FromRows(std::move(rows)), at,
                          /*window=*/100);
@@ -142,7 +140,7 @@ TEST(ChangeDetector, FlagsSubspaceRotationOnly) {
   ChangeDetectorOptions options;
   options.components = 3;
   options.calibration_updates = 3;
-  auto detector = ChangeDetector::FromSnapshot(reader.Pin(), options);
+  auto detector = ChangeDetector::FromSnapshot(*store.Latest(), options);
   ASSERT_TRUE(detector.ok());
   EXPECT_EQ(detector.value().reference_version(), 1u);
 
@@ -150,7 +148,7 @@ TEST(ChangeDetector, FlagsSubspaceRotationOnly) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
         publish(RowsInSubspace(basis_a, 300, 0.02, 20 + i), 200 + i).ok());
-    const auto dist = detector.value().Update(reader.Pin());
+    const auto dist = detector.value().Update(*store.Latest());
     ASSERT_TRUE(dist.ok());
     EXPECT_LT(dist.value(), 0.05);
   }
@@ -158,7 +156,7 @@ TEST(ChangeDetector, FlagsSubspaceRotationOnly) {
 
   // Rotated subspace: must flag.
   ASSERT_TRUE(publish(RowsInSubspace(basis_b, 300, 0.02, 30), 300).ok());
-  ASSERT_TRUE(detector.value().Update(reader.Pin()).ok());
+  ASSERT_TRUE(detector.value().Update(*store.Latest()).ok());
   EXPECT_TRUE(detector.value().change_detected());
   EXPECT_GT(detector.value().last_distance(), 0.3);
 
@@ -170,7 +168,7 @@ TEST(ChangeDetector, RejectsZeroRankReference) {
   Published data(Matrix(2, 4));  // all-zero rows: rank 0
   ASSERT_TRUE(data.status.ok());
   EXPECT_FALSE(
-      ChangeDetector::FromSnapshot(data.ref, ChangeDetectorOptions()).ok());
+      ChangeDetector::FromSnapshot(*data.ref, ChangeDetectorOptions()).ok());
 }
 
 TEST(AnomalyScorer, UnexcitedDirectionsScoreHigh) {
@@ -179,7 +177,7 @@ TEST(AnomalyScorer, UnexcitedDirectionsScoreHigh) {
   const Matrix basis = RandomOrthonormalRows(2, d, &rng);
   Published data(RowsInSubspace(basis, 500, 0.0, 6));
 
-  const auto scorer = AnomalyScorer::FromSnapshot(data.ref, 0.01);
+  const auto scorer = AnomalyScorer::FromSnapshot(*data.ref, 0.01);
   ASSERT_TRUE(scorer.ok());
 
   // A point inside the excited subspace.
@@ -210,14 +208,13 @@ TEST(AnomalyScorer, RowsMatchCovarianceConstruction) {
   Published from_rows(std::move(rows));
 
   serve::SnapshotStore cov_store;
-  serve::SnapshotReader cov_reader(&cov_store);
   ASSERT_TRUE(cov_store
                   .Publish(CovarianceEstimate::FromCovariance(gram), 100, 100)
                   .ok());
-  const serve::SnapshotRef cov_ref = cov_reader.Pin();
+  const serve::SnapshotRef cov_ref = cov_store.Latest();
 
-  const auto a = AnomalyScorer::FromSnapshot(from_rows.ref, 0.05);
-  const auto b = AnomalyScorer::FromSnapshot(cov_ref, 0.05);
+  const auto a = AnomalyScorer::FromSnapshot(*from_rows.ref, 0.05);
+  const auto b = AnomalyScorer::FromSnapshot(*cov_ref, 0.05);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   std::vector<double> x(6);
@@ -228,8 +225,8 @@ TEST(AnomalyScorer, RowsMatchCovarianceConstruction) {
 
 TEST(AnomalyScorer, RejectsBadInput) {
   Published data(Matrix(3, 3));
-  EXPECT_FALSE(AnomalyScorer::FromSnapshot(data.ref, 0.0).ok());
-  EXPECT_FALSE(AnomalyScorer::FromSnapshot(serve::SnapshotRef(), 0.01).ok());
+  ASSERT_TRUE(data.status.ok());
+  EXPECT_FALSE(AnomalyScorer::FromSnapshot(*data.ref, 0.0).ok());
   // An empty estimate cannot even be published.
   serve::SnapshotStore store;
   EXPECT_FALSE(store.Publish(CovarianceEstimate(), 100, 100).ok());

@@ -66,9 +66,8 @@ TEST(QueryService, ResultsMatchSnapshotMemoizedStructures) {
 
   serve::QueryService service(&store);
   serve::QueryService::Session session = service.NewSession();
-  serve::SnapshotReader reader(&store);
-  const serve::SnapshotRef ref = reader.Pin();
-  ASSERT_TRUE(ref.has_value());
+  const serve::SnapshotRef ref = store.Latest();
+  ASSERT_NE(ref, nullptr);
 
   const Matrix probes = GaussianRows(5, 6, 3);
   for (int i = 0; i < probes.rows(); ++i) {

@@ -1,11 +1,13 @@
-// SnapshotStore semantics: versioning and meta stamping, wait-free pins,
-// epoch-based reclamation (a pinned version is never freed, a quiescent
-// one is), the exactly-once materialization contract, and a
-// publish-while-read stress that TSan can chew on (ctest -L serve runs
-// in the TSan tree via tools/run_checks.sh).
+// SnapshotStore semantics: versioning and meta stamping, version
+// lifetimes (a held version is never freed, one nobody holds is), the
+// exactly-once materialization contract, and a publish-while-read stress
+// that TSan can chew on (ctest -L serve runs in the TSan tree via
+// tools/run_checks.sh).
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +22,7 @@ namespace dswm {
 namespace {
 
 // A d x d covariance whose (0,0) entry encodes `tag`, so readers can
-// cross-check that the version they pinned serves that version's bytes.
+// cross-check that the version they hold serves that version's bytes.
 Matrix TaggedCovariance(int d, double tag) {
   Matrix c(d, d);
   for (int i = 0; i < d; ++i) c(i, i) = 1.0 + static_cast<double>(i);
@@ -41,86 +43,80 @@ TEST(SnapshotStore, RejectsEmptyEstimateAndBadOptions) {
   EXPECT_FALSE(empty.ok());
   EXPECT_EQ(empty.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(store.latest_version(), 0u);
-  EXPECT_EQ(store.published_count(), 0);
+  EXPECT_EQ(store.Latest(), nullptr);
 }
 
 TEST(SnapshotStore, VersionsAndMetaStamping) {
   serve::SnapshotStore store;
-  serve::SnapshotReader reader(&store);
-  EXPECT_FALSE(reader.Pin().has_value());  // before the first publish
+  EXPECT_EQ(store.Latest(), nullptr);  // before the first publish
 
   ASSERT_TRUE(PublishTagged(&store, 4, 7.0, 250).ok());
   ASSERT_TRUE(PublishTagged(&store, 4, 8.0, 350).ok());
   EXPECT_EQ(store.latest_version(), 2u);
-  EXPECT_EQ(store.published_count(), 2);
 
-  const serve::SnapshotRef ref = reader.Pin();
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref.meta().version, 2u);
-  EXPECT_EQ(ref.meta().published_at, 350);
-  EXPECT_EQ(ref.meta().window, 100);
+  const serve::SnapshotRef ref = store.Latest();
+  ASSERT_NE(ref, nullptr);
+  EXPECT_EQ(ref->meta().version, 2u);
+  EXPECT_EQ(ref->meta().published_at, 350);
+  EXPECT_EQ(ref->meta().window, 100);
   // Coverage (window_start, published_at] with cutoff = t - window.
-  EXPECT_EQ(ref.meta().window_start, 251);
+  EXPECT_EQ(ref->meta().window_start, 251);
   EXPECT_DOUBLE_EQ(ref->estimate().Covariance()(0, 0), 8.0);
   EXPECT_TRUE(ref->estimate().sealed());
 }
 
 TEST(SnapshotStore, PinnedVersionSurvivesLaterPublishes) {
   serve::SnapshotStore store;
-  serve::SnapshotReader reader(&store);
   ASSERT_TRUE(PublishTagged(&store, 4, 1.0, 100).ok());
 
+  std::weak_ptr<const serve::Snapshot> first;
+  std::weak_ptr<const serve::Snapshot> second;
   {
-    const serve::SnapshotRef pinned = reader.Pin();
-    ASSERT_TRUE(pinned.has_value());
+    const serve::SnapshotRef pinned = store.Latest();
+    first = pinned;
     ASSERT_TRUE(PublishTagged(&store, 4, 2.0, 200).ok());
+    second = store.Latest();
     ASSERT_TRUE(PublishTagged(&store, 4, 3.0, 300).ok());
-    // Version 1 is retired but must not be freed while pinned; version 2
-    // was retired after this pin's announced epoch, so it may not be
-    // freed either. The pinned bytes stay valid and version-consistent.
-    EXPECT_EQ(pinned.meta().version, 1u);
+    // Version 1 is held here, so it outlives two later publishes and its
+    // bytes stay version-consistent. Version 2 had no holder left once
+    // version 3 replaced it.
+    EXPECT_EQ(pinned->meta().version, 1u);
     EXPECT_DOUBLE_EQ(pinned->estimate().Covariance()(0, 0), 1.0);
-    EXPECT_EQ(store.reclaimed_count(), 0);
-    EXPECT_EQ(store.retired_pending(), 2);
+    EXPECT_FALSE(first.expired());
+    EXPECT_TRUE(second.expired());
   }
-  // Quiescent again: the next publish reclaims both retired versions.
-  ASSERT_TRUE(PublishTagged(&store, 4, 4.0, 400).ok());
-  EXPECT_EQ(store.reclaimed_count(), 3);
-  EXPECT_EQ(store.retired_pending(), 0);
-  // Conservation: every published version is the live one, pending, or
-  // reclaimed.
-  EXPECT_EQ(store.published_count(),
-            store.reclaimed_count() + store.retired_pending() + 1);
+  // Dropping the last holder frees version 1 without another publish.
+  EXPECT_TRUE(first.expired());
+  EXPECT_EQ(store.latest_version(), 3u);
 }
 
 TEST(SnapshotStore, ReaderDestructionReclaims) {
   serve::SnapshotStore store;
   ASSERT_TRUE(PublishTagged(&store, 3, 1.0, 100).ok());
+  const std::weak_ptr<const serve::Snapshot> first = store.Latest();
+  serve::QueryService service(&store);
   {
-    serve::SnapshotReader reader(&store);
-    const serve::SnapshotRef pinned = reader.Pin();
+    serve::QueryService::Session session = service.NewSession();
+    const std::vector<double> x(3, 1.0);
+    ASSERT_TRUE(session.Pca(x.data(), 3).ok());
     ASSERT_TRUE(PublishTagged(&store, 3, 2.0, 200).ok());
-    EXPECT_EQ(store.retired_pending(), 1);
+    // The idle session still holds the version of its last query.
+    EXPECT_FALSE(first.expired());
   }
-  // Releasing the slot runs reclamation without needing another publish.
-  EXPECT_EQ(store.retired_pending(), 0);
-  EXPECT_EQ(store.reclaimed_count(), 1);
+  // Destroying the session frees it without needing another publish.
+  EXPECT_TRUE(first.expired());
 }
 
-TEST(SnapshotStore, NestedPinsShareTheAnnouncedEpoch) {
-  serve::SnapshotStore store;
-  serve::SnapshotReader reader(&store);
-  ASSERT_TRUE(PublishTagged(&store, 3, 1.0, 100).ok());
-  const serve::SnapshotRef outer = reader.Pin();
-  ASSERT_TRUE(PublishTagged(&store, 3, 2.0, 200).ok());
-  // The inner pin sees the newer version; both stay valid until released
-  // (the slot stays announced while any pin is live).
-  const serve::SnapshotRef inner = reader.Pin();
-  EXPECT_EQ(outer.meta().version, 1u);
-  EXPECT_EQ(inner.meta().version, 2u);
-  EXPECT_DOUBLE_EQ(outer->estimate().Covariance()(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(inner->estimate().Covariance()(0, 0), 2.0);
-  EXPECT_EQ(store.reclaimed_count(), 0);
+TEST(SnapshotStore, RefOutlivesTheStore) {
+  serve::SnapshotRef ref;
+  {
+    serve::SnapshotStore store;
+    ASSERT_TRUE(PublishTagged(&store, 3, 5.0, 100).ok());
+    ref = store.Latest();
+  }
+  ASSERT_NE(ref, nullptr);
+  EXPECT_EQ(ref->meta().version, 1u);
+  EXPECT_DOUBLE_EQ(ref->estimate().Covariance()(0, 0), 5.0);
 }
 
 TEST(SnapshotStore, MaterializesEachVersionExactlyOnce) {
@@ -163,19 +159,36 @@ TEST(SnapshotStore, MaterializesEachVersionExactlyOnce) {
 }
 
 TEST(SnapshotStore, PublishWhileReadStress) {
-  // Concurrency stress for TSan: one publisher task races several reader
-  // tasks. Readers verify that whatever version they pin serves that
-  // version's bytes -- a reclaimed-while-pinned bug shows up as a torn
-  // tag, a use-after-free, or a TSan report.
-  const int kReaders = 3;
+  // Concurrency stress for TSan: one publisher task races reader tasks of
+  // two kinds. Store readers take store.Latest() on every read; session
+  // readers query through QueryService::Session, which re-fetches only
+  // when the version moves. Both verify that whatever version they read
+  // serves that version's bytes -- a version freed while held shows up as
+  // a torn tag, a use-after-free, or a TSan report -- and session readers
+  // also check that their versions never go backwards.
+  const int kStoreReaders = 3;
+  const int kSessionReaders = 2;
   const int kVersions = 60;
   const int d = 8;
-  serve::SnapshotStore store;
+  const double kLambdaFraction = 0.01;
+  serve::StoreOptions options;
+  options.lambda_fraction = kLambdaFraction;
+  serve::SnapshotStore store(options);
+  serve::QueryService service(&store);
   std::atomic<bool> done{false};
   std::atomic<long> mismatches{0};
   std::atomic<long> reads{0};
 
-  ThreadPool pool(kReaders + 2);
+  // Off-tag diagonal sum of TaggedCovariance: 2 + 3 + ... + d.
+  double rest = 0.0;
+  for (int i = 1; i < d; ++i) rest += 1.0 + static_cast<double>(i);
+  // score(e0) = 1 / (C(0,0) + lambda) for the diagonal C of version v.
+  const auto expected_score = [&](uint64_t version) {
+    const double tag = static_cast<double>(version);
+    return 1.0 / (tag + kLambdaFraction * (tag + rest) / d);
+  };
+
+  ThreadPool pool(kStoreReaders + kSessionReaders + 1);
   pool.Submit([&] {
     for (int v = 1; v <= kVersions; ++v) {
       ASSERT_TRUE(
@@ -183,16 +196,15 @@ TEST(SnapshotStore, PublishWhileReadStress) {
     }
     done.store(true, std::memory_order_release);
   });
-  for (int r = 0; r < kReaders; ++r) {
+  for (int r = 0; r < kStoreReaders; ++r) {
     pool.Submit([&] {
-      serve::SnapshotReader reader(&store);
       long local_reads = 0;
       while (!done.load(std::memory_order_acquire) || local_reads < 100) {
-        const serve::SnapshotRef ref = reader.Pin();
-        if (!ref.has_value()) continue;
+        const serve::SnapshotRef ref = store.Latest();
+        if (ref == nullptr) continue;
         ++local_reads;
         const double tag = ref->estimate().Covariance()(0, 0);
-        if (tag != static_cast<double>(ref.meta().version)) {
+        if (tag != static_cast<double>(ref->meta().version)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         // Touch the memoized views too: all shared, all sealed.
@@ -203,16 +215,40 @@ TEST(SnapshotStore, PublishWhileReadStress) {
       reads.fetch_add(local_reads, std::memory_order_relaxed);
     });
   }
+  for (int r = 0; r < kSessionReaders; ++r) {
+    pool.Submit([&] {
+      serve::QueryService::Session session = service.NewSession();
+      std::vector<double> e0(d, 0.0);
+      e0[0] = 1.0;
+      uint64_t seen = 0;
+      long local_reads = 0;
+      while (!done.load(std::memory_order_acquire) || local_reads < 100) {
+        const auto got = session.Anomaly(e0.data(), d);
+        if (!got.ok()) continue;  // nothing published yet
+        ++local_reads;
+        const uint64_t version = got.value().meta.version;
+        if (version < seen) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        seen = version;
+        const double want = expected_score(version);
+        if (std::fabs(got.value().score - want) > 1e-9 * want) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      reads.fetch_add(local_reads, std::memory_order_relaxed);
+    });
+  }
   pool.WaitIdle();
 
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(reads.load(), kReaders * 100);
-  EXPECT_EQ(store.published_count(), kVersions);
-  // All readers released their slots: everything but the latest version
-  // is reclaimable, and the next publish proves it.
+  EXPECT_GE(reads.load(), (kStoreReaders + kSessionReaders) * 100);
+  EXPECT_EQ(store.latest_version(), static_cast<uint64_t>(kVersions));
+  // Every reader and session is gone, so the store is the last holder of
+  // the latest version and the next publish frees it.
+  const std::weak_ptr<const serve::Snapshot> last = store.Latest();
   ASSERT_TRUE(PublishTagged(&store, d, kVersions + 1.0, 10000).ok());
-  EXPECT_EQ(store.retired_pending(), 0);
-  EXPECT_EQ(store.reclaimed_count(), kVersions);
+  EXPECT_TRUE(last.expired());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,13 @@ struct SumCase {
   int sites;
   bool heavy;
 };
+
+// Names the case by its fields rather than by its raw bytes, whose padding
+// made the ctest name differ between builds.
+void PrintTo(const SumCase& c, std::ostream* os) {
+  *os << "eps=" << c.eps << " sites=" << c.sites
+      << (c.heavy ? " heavy" : " uniform");
+}
 
 class SumTrackerProperty : public ::testing::TestWithParam<SumCase> {};
 

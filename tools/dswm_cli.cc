@@ -1,29 +1,10 @@
-// dswm command-line tool.
-//
-//   dswm_cli run --dataset synthetic --algorithm DA2 --epsilon 0.05
-//            --sites 20 [--rows N] [--window W] [--seed S]
-//            [--queries Q] [--save-sketch out.mat] [--threads T]
-//   dswm_cli run --csv data.csv [--timestamp-col 0] --algorithm PWOR ...
-//   dswm_cli run ... --trace 1           # per-query-point error series
-//   dswm_cli run ... --trace-jsonl t.jsonl   # full message-ledger dump
-//   dswm_cli run ... --net-drop 0.01 --net-seed 7 [--net-dup P]
-//            [--net-delay D] [--net-reliable 1 --net-retry R]
-//   dswm_cli run ... --net-json 1        # wire/ledger metrics as JSON line
-//   dswm_cli run ... --metrics-json -    # obs snapshot (spans + counters +
-//            comm gauges) as one JSON document to stdout, or to a file path
-//   dswm_cli sweep --dataset pamap --algorithms PWOR,DA2
-//            --epsilons 0.2,0.1,0.05     # CSV to stdout
-//   dswm_cli serve-bench [--algorithm DA2] [--rows N] [--dim D]
-//            [--sites M] [--epsilon E] [--window W] [--readers R]
-//            [--min-queries Q] [--seed S]   # closed-loop serving load
-//   dswm_cli serve-bench --selfcheck 1      # metrics-invariance check only
-//   dswm_cli datasets [--rows N]
-//   dswm_cli algorithms
-//
-// Runs one tracking experiment and prints the paper's metrics (avg/max
-// covariance error, words per window, per-site space, update rate). Every
-// run is the lockstep replay of RunTracker (monitor/driver.h); --net-delay
-// frames land inside the tracker calls that reach their due tick.
+// dswm command-line tool. Runs one tracking experiment and prints the
+// paper's metrics (avg/max covariance error, words per window, per-site
+// space, update rate), sweeps a grid of them, drives the serving tier, or
+// lists the datasets and algorithms. kUsage below is the synopsis;
+// `dswm_cli --help` prints it. Every run is the lockstep replay of
+// RunTracker (monitor/driver.h); --net-delay frames land inside the
+// tracker calls that reach their due tick.
 
 #include <cstdio>
 #include <string>
@@ -43,6 +24,30 @@
 namespace {
 
 using namespace dswm;
+
+constexpr char kUsage[] = R"(usage:
+  dswm_cli run --dataset synthetic|pamap|wiki --algorithm DA2
+           --epsilon 0.05 --sites 20 [--rows N] [--window W] [--seed S]
+           [--queries Q] [--ell L] [--save-sketch out.mat] [--threads T]
+  dswm_cli run --csv data.csv [--timestamp-col 0] --algorithm PWOR ...
+  dswm_cli run ... --trace 1           # per-query-point error series
+  dswm_cli run ... --trace-jsonl t.jsonl   # full message-ledger dump
+  dswm_cli run ... --net-drop 0.01 --net-seed 7 [--net-dup P]
+           [--net-delay D] [--net-reliable 1 --net-retry R]
+  dswm_cli run ... --net-json 1        # wire/ledger metrics as JSON line
+  dswm_cli run ... --metrics-json -    # obs snapshot (spans + counters +
+           comm gauges) as one JSON document to stdout, or to a file path
+  dswm_cli sweep --dataset pamap --algorithms PWOR,DA2
+           --epsilons 0.2,0.1,0.05 [--sites M] [--rows N] [--window W]
+           [--seed S]                  # CSV to stdout
+  dswm_cli serve-bench [--algorithm DA2] [--rows N] [--dim D]
+           [--sites M] [--epsilon E] [--window W] [--readers R]
+           [--min-queries Q] [--seed S]   # closed-loop serving load
+  dswm_cli serve-bench --selfcheck 1      # metrics-invariance check only
+  dswm_cli datasets [--rows N]
+  dswm_cli algorithms                     # names --algorithm accepts
+  dswm_cli --help | -h | help             # this text
+)";
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -370,6 +375,16 @@ int CmdSweep(const FlagSet& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Answered before FlagSet::Parse, which would read --help as a flag
+  // missing its value.
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+  }
+
   const std::vector<std::string> known = {
       "dataset", "csv",     "timestamp-col", "algorithm", "epsilon",
       "sites",   "window",  "rows",          "seed",      "queries",
@@ -394,9 +409,11 @@ int main(int argc, char** argv) {
   if (command == "serve-bench") return CmdServeBench(flags.value());
   if (command == "datasets") return CmdDatasets(flags.value());
   if (command == "algorithms") return CmdAlgorithms();
-  std::fprintf(
-      stderr,
-      "usage: dswm_cli [run|sweep|serve-bench|datasets|algorithms] "
-      "[--flags]\n");
+  if (command == "help") {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  std::fprintf(stderr, "error: unknown command '%s'\n%s", command.c_str(),
+               kUsage);
   return 1;
 }

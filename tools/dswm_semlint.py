@@ -775,7 +775,7 @@ def check_snapshot_immutability(u, rep):
                "'MaterializeAndSeal(...)' member call outside src/serve/; "
                "sealing is the publish-time step of the serving tier -- "
                "publish the estimate through serve::SnapshotStore and read "
-               "it via a pinned SnapshotRef instead of sealing in place")
+               "it via a SnapshotRef instead of sealing in place")
 
 
 def check_socket_confinement(u, rep):

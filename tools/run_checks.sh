@@ -106,11 +106,11 @@ if [[ "${SKIP_TSAN}" -eq 0 ]]; then
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
     -L obs
 
-  # The serve-labeled suite under TSan: the snapshot store's publish /
-  # pin / reclaim protocol is the one deliberately lock-free reader path
-  # in the tree, and the publish-while-read stress plus the bit-identity
-  # loaded runs are exactly the tests where a misordered epoch announce
-  # or a reclaim-while-pinned shows up as a race instead of luck.
+  # The serve-labeled suite under TSan: the publish-while-read stress
+  # (store readers and session readers against a live publisher) plus the
+  # bit-identity loaded runs are exactly the tests where a version freed
+  # while still read, or a session's unlocked version check, shows up as
+  # a race instead of luck.
   log "ctest -L serve (build-tsan)"
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
     -L serve
@@ -171,7 +171,7 @@ if [[ "${SKIP_BENCH}" -eq 0 ]]; then
       -DCMAKE_BUILD_TYPE=Release
   fi
   cmake --build "${ROOT}/build-release" -j "${JOBS}" --target bench_micro_linalg
-  BENCH_JSON_TMP="$(mktemp /tmp/dswm_bench_smoke.XXXXXX.json)"
+  BENCH_JSON_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_bench_smoke.XXXXXX.json")"
   DSWM_BENCH_JSON="${BENCH_JSON_TMP}" \
     "${ROOT}/build-release/bench/bench_micro_linalg" \
     --benchmark_filter='BM_MatMul/128$' --benchmark_min_time=0.01 \
@@ -190,7 +190,7 @@ PY
   # runs, the JSON emitter fires, and SetGlobalThreads inside a benchmark
   # body restores the pool (the process would hang teardown otherwise).
   cmake --build "${ROOT}/build-release" -j "${JOBS}" --target bench_micro_window
-  WIN_JSON_TMP="$(mktemp /tmp/dswm_bench_window.XXXXXX.json)"
+  WIN_JSON_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_bench_window.XXXXXX.json")"
   DSWM_BENCH_JSON="${WIN_JSON_TMP}" \
     "${ROOT}/build-release/bench/bench_micro_window" \
     --benchmark_filter='BM_SamplerRefill/256' --benchmark_min_time=0.01 \
@@ -215,8 +215,8 @@ PY
   # is a strict subset of the enabled one. Medians over repetitions damp
   # scheduler noise.
   cmake --build "${ROOT}/build-release" -j "${JOBS}" --target bench_micro_sketch
-  OVH_OFF_TMP="$(mktemp /tmp/dswm_ovh_off.XXXXXX.json)"
-  OVH_ON_TMP="$(mktemp /tmp/dswm_ovh_on.XXXXXX.json)"
+  OVH_OFF_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_ovh_off.XXXXXX.json")"
+  OVH_ON_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_ovh_on.XXXXXX.json")"
   DSWM_BENCH_JSON="${OVH_OFF_TMP}" \
     "${ROOT}/build-release/bench/bench_micro_sketch" \
     --benchmark_filter='BM_FrequentDirectionsAppend/128/20$' \
@@ -289,7 +289,7 @@ PY
   # item 5). The old mass-bound trigger decomposed about once per row on
   # SYNTHETIC's flat spectrum. The count is deterministic, so a fixed
   # ceiling catches that trigger's return with no timing noise.
-  IWMT_JSON_TMP="$(mktemp /tmp/dswm_iwmt_gate.XXXXXX.json)"
+  IWMT_JSON_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_iwmt_gate.XXXXXX.json")"
   "${ROOT}/build-release/tools/dswm_cli" run --dataset synthetic \
     --algorithm DA2 --epsilon 0.05 --sites 20 --rows 14000 --window 4000 \
     --seed 1 --queries 2 --metrics-json - | grep '^{' > "${IWMT_JSON_TMP}"
@@ -316,7 +316,7 @@ PY
   # and flipping metrics on/off changes no query result bytes (the
   # --selfcheck pass runs the same deterministic probe sequence both ways
   # and memcmps the doubles).
-  SERVE_LOG_TMP="$(mktemp /tmp/dswm_serve_smoke.XXXXXX.log)"
+  SERVE_LOG_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_serve_smoke.XXXXXX.log")"
   "${ROOT}/build-release/tools/dswm_cli" serve-bench --rows 2000 \
     --readers 2 --min-queries 50 | tee "${SERVE_LOG_TMP}"
   python3 - "${SERVE_LOG_TMP}" <<'PY'
@@ -393,7 +393,7 @@ if command -v run-clang-tidy >/dev/null 2>&1 && \
   # burned down, never raise it.
   TIDY_BUDGET="$(grep -v '^#' "${ROOT}/tools/tidy_budget.txt" | head -1)"
   log "clang-tidy (src/ excluding obs+net, budget ${TIDY_BUDGET})"
-  TIDY_LOG="$(mktemp /tmp/dswm_tidy.XXXXXX.log)"
+  TIDY_LOG="$(mktemp "${TMPDIR:-/tmp}/dswm_tidy.XXXXXX.log")"
   run-clang-tidy -quiet -p "${TIDY_DIR}" \
     "${ROOT}/src/(?!obs/|net/).*" >"${TIDY_LOG}" 2>&1 || true
   TIDY_COUNT="$(grep -c 'warning:' "${TIDY_LOG}" || true)"
