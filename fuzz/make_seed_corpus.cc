@@ -179,6 +179,8 @@ int main(int argc, char** argv) {
       {"bad_number", std::string(1, '\x00') + "1,banana\n"},
       {"empty", std::string(1, '\x00')},
       {"negatives", std::string(1, '\x00') + "-1e300,2.5e-10\nnan,inf\n"},
+      {"ts_nonfinite", std::string(1, '\x08') + "1,2\nnan,3\ninf,4\n"},
+      {"ts_out_of_range", std::string(1, '\x08') + "-9.2e18,1\n1e300,2\n"},
   };
   for (const auto& [name, text] : csvs) {
     if (!WriteText((root / "csv" / (name + ".csv")).string(), text)) {

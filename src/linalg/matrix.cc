@@ -215,27 +215,16 @@ constexpr long kParallelMulAddThreshold = 1L << 16;
   return pool->num_threads() > 1 && mul_adds >= kParallelMulAddThreshold;
 }
 
-// One multiply-accumulate step of an accumulator chain. The default build
-// keeps a separate per-lane IEEE multiply and add so results stay
-// bit-identical across the AVX / SSE2 / scalar bodies; a DSWM_FAST_MATH
-// build compiles this file with -mfma and fuses the pair -- one rounding
-// per step instead of two -- trading the memcmp oracle for a relative
-// tolerance against the IEEE build (tests/linalg_fastmath_test.cc).
+// One multiply-accumulate step of an accumulator chain: a separate
+// per-lane IEEE multiply and add, never fused, so results stay
+// bit-identical across the AVX / SSE2 / scalar bodies.
 #if defined(__AVX__)
 inline __m256d MulAdd(__m256d acc, __m256d a, __m256d b) {
-#if defined(DSWM_FAST_MATH) && defined(__FMA__)
-  return _mm256_fmadd_pd(a, b, acc);
-#else
   return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
-#endif
 }
 #elif defined(__SSE2__)
 inline __m128d MulAdd(__m128d acc, __m128d a, __m128d b) {
-#if defined(DSWM_FAST_MATH) && defined(__FMA__)
-  return _mm_fmadd_pd(a, b, acc);
-#else
   return _mm_add_pd(acc, _mm_mul_pd(a, b));
-#endif
 }
 #endif
 

@@ -72,6 +72,12 @@ Status ValidateRun(const DistributedTracker* tracker,
                                    std::to_string(window));
   }
   DSWM_RETURN_NOT_OK(options.Validate());
+  // Every site window starts at tick 0; time never runs backwards.
+  if (!rows.empty() && rows.front().timestamp < 0) {
+    return Status::InvalidArgument(
+        "RunTracker: first timestamp is negative: " +
+        std::to_string(rows.front().timestamp));
+  }
   const int d = tracker->Dim();
   for (size_t i = 0; i < rows.size(); ++i) {
     if (static_cast<int>(rows[i].values.size()) != d) {

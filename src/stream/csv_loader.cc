@@ -64,8 +64,19 @@ StatusOr<std::vector<TimedRow>> ParseCsv(const std::string& content,
 
     TimedRow row;
     if (options.timestamp_column >= 0) {
-      row.timestamp = static_cast<Timestamp>(std::llround(
-          fields[options.timestamp_column] * options.timestamp_scale));
+      // llround is unspecified outside the int64 range, and NaN has no
+      // tick at all.
+      const double ticks =
+          fields[options.timestamp_column] * options.timestamp_scale;
+      if (!std::isfinite(ticks)) {
+        return Status::InvalidArgument("non-finite timestamp at line " +
+                                       std::to_string(line_no));
+      }
+      if (ticks < -0x1p63 || ticks >= 0x1p63) {
+        return Status::InvalidArgument(
+            "timestamp out of int64 range at line " + std::to_string(line_no));
+      }
+      row.timestamp = static_cast<Timestamp>(std::llround(ticks));
       for (int j = 0; j < expected_fields; ++j) {
         if (j != options.timestamp_column) row.values.push_back(fields[j]);
       }

@@ -104,8 +104,8 @@ TEST(Status, ReturnNotOkMacroPropagates) {
 
 // Stopwatch's own behavior test -- the one place outside src/common/ and
 // src/obs/ that may touch the raw timer.
-TEST(Stopwatch, MeasuresElapsedTime) {  // dswm-lint: allow(raw-timing-outside-obs)
-  Stopwatch sw;  // dswm-lint: allow(raw-timing-outside-obs)
+TEST(Stopwatch, MeasuresElapsedTime) {  // dswm-semlint: allow(raw-timing-outside-obs)
+  Stopwatch sw;  // dswm-semlint: allow(raw-timing-outside-obs)
   volatile double x = 0.0;
   for (int i = 0; i < 100000; ++i) x = x + std::sqrt(i * 1.0);
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);

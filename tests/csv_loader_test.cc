@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +71,27 @@ TEST(ParseCsv, RejectsBadTimestampColumn) {
   CsvOptions options;
   options.timestamp_column = 7;
   EXPECT_FALSE(ParseCsv("1,2\n", options).ok());
+}
+
+TEST(ParseCsv, RejectsUnrepresentableTimestamps) {
+  // NaN has no tick and llround is unspecified outside int64; the error
+  // names the line. The scale applies before the range check.
+  CsvOptions options;
+  options.timestamp_column = 0;
+  for (const char* bad : {"nan", "inf", "1e300", "-9.3e18"}) {
+    const auto rows = ParseCsv("1,2\n" + std::string(bad) + ",3\n", options);
+    ASSERT_FALSE(rows.ok()) << bad;
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(rows.status().message().find("line 2"), std::string::npos);
+  }
+  options.timestamp_scale = 1000.0;
+  EXPECT_FALSE(ParseCsv("1e17,1\n", options).ok());
+  // In-range negatives parse; RunTracker rejects a stream before tick 0.
+  options.timestamp_scale = 1.0;
+  const auto rows = ParseCsv("-9.2e18,1\n-5,2\n", options);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value()[0].timestamp, -9'200'000'000'000'000'000);
+  EXPECT_EQ(rows.value()[1].timestamp, -5);
 }
 
 TEST(ParseCsv, EmptyContent) {

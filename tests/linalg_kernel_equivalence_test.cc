@@ -31,20 +31,6 @@
 namespace dswm {
 namespace {
 
-// Under DSWM_FAST_MATH the kernels contract each accumulate step to an
-// FMA, so bitwise identity with the per-lane IEEE *Reference oracles no
-// longer holds (by design). Those comparisons skip themselves; the
-// FastMath suite (linalg_fastmath_test.cc) covers the mode under a
-// relative tolerance. Kernel-vs-kernel identities (threaded vs single,
-// prefix vs full) hold in both modes and keep running.
-#if defined(DSWM_FAST_MATH)
-#define DSWM_REQUIRE_BITWISE_KERNELS()                                  \
-  GTEST_SKIP() << "DSWM_FAST_MATH build: kernels are FMA-contracted; "  \
-                  "see the FastMath tolerance suite"
-#else
-#define DSWM_REQUIRE_BITWISE_KERNELS() (void)0
-#endif
-
 Matrix RandomMatrix(int rows, int cols, uint64_t seed) {
   Rng rng(seed);
   Matrix m(rows, cols);
@@ -89,7 +75,6 @@ struct MatMulShape {
 class MatMulEquivalence : public ::testing::TestWithParam<MatMulShape> {};
 
 TEST_P(MatMulEquivalence, BitIdenticalToReference) {
-  DSWM_REQUIRE_BITWISE_KERNELS();
   const auto [m, k, p] = GetParam();
   const Matrix a = RandomMatrix(m, k, 1000 + static_cast<uint64_t>(m));
   const Matrix b = RandomMatrix(k, p, 2000 + static_cast<uint64_t>(p));
@@ -126,14 +111,12 @@ struct GramShape {
 class GramEquivalence : public ::testing::TestWithParam<GramShape> {};
 
 TEST_P(GramEquivalence, GramBitIdenticalToReference) {
-  DSWM_REQUIRE_BITWISE_KERNELS();
   const auto [rows, cols] = GetParam();
   const Matrix a = RandomMatrix(rows, cols, 5000 + static_cast<uint64_t>(rows));
   EXPECT_TRUE(BitIdentical(Gram(a), GramReference(a)));
 }
 
 TEST_P(GramEquivalence, GramTransposeBitIdenticalToReference) {
-  DSWM_REQUIRE_BITWISE_KERNELS();
   const auto [rows, cols] = GetParam();
   const Matrix a = RandomMatrix(rows, cols, 6000 + static_cast<uint64_t>(cols));
   EXPECT_TRUE(BitIdentical(GramTranspose(a), GramTransposeReference(a)));
@@ -474,7 +457,6 @@ std::vector<EigenInput> EigenInputs(int d) {
 class DenseKernelEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(DenseKernelEquivalence, SymmetricEigenBitIdenticalToScalarOracle) {
-  DSWM_REQUIRE_BITWISE_KERNELS();
   const int d = GetParam();
   for (const EigenInput& input : EigenInputs(d)) {
     SCOPED_TRACE(input.name);
@@ -487,7 +469,6 @@ TEST_P(DenseKernelEquivalence, SymmetricEigenBitIdenticalToScalarOracle) {
 }
 
 TEST_P(DenseKernelEquivalence, MatVecBitIdenticalToScalarOracle) {
-  DSWM_REQUIRE_BITWISE_KERNELS();
   const int d = GetParam();
   // Square, and ragged in both directions (rows not a multiple of the
   // 8-row block, columns not a multiple of the 4-wide transpose).
@@ -513,7 +494,6 @@ TEST_P(DenseKernelEquivalence, MatVecBitIdenticalToScalarOracle) {
 }
 
 TEST_P(DenseKernelEquivalence, RankOneAndScaledUpdatesBitIdenticalToOracle) {
-  DSWM_REQUIRE_BITWISE_KERNELS();
   const int d = GetParam();
   for (const EigenInput& input : EigenInputs(d)) {
     SCOPED_TRACE(input.name);

@@ -145,7 +145,7 @@ TEST_F(ObsTest, ConcurrentCounterAddsAreExact) {
   Counter* c = Registry().GetCounter("test.concurrent");
   // Raw threads on purpose: the contract is about bare concurrent Add()
   // calls, independent of ThreadPool scheduling.
-  std::vector<std::thread> threads;  // dswm-lint: allow(raw-thread-outside-common)
+  std::vector<std::thread> threads;  // dswm-semlint: allow(raw-thread-outside-common)
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([c] {
       for (int j = 0; j < 10000; ++j) c->Add(1);
@@ -201,7 +201,7 @@ TEST_F(ObsTest, PerThreadSpanPathsAreIndependent) {
   Span main_span("main_phase");
   // A genuinely fresh thread (not a pooled worker) is the point: its
   // thread_local span path must start empty.
-  std::thread worker([] {  // dswm-lint: allow(raw-thread-outside-common)
+  std::thread worker([] {  // dswm-semlint: allow(raw-thread-outside-common)
     // Fresh thread: no inherited path from the spawning thread.
     EXPECT_STREQ(Span::CurrentPath(), "");
     Span span("worker_phase");

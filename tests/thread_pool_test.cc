@@ -8,7 +8,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
-#include <thread>  // dswm-lint: allow(raw-thread-outside-common)
+#include <thread>  // dswm-semlint: allow(raw-thread-outside-common)
 #include <utility>
 #include <vector>
 
@@ -27,9 +27,9 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
   // thread::id only observes identity, it spawns nothing.
-  const std::thread::id caller =  // dswm-lint: allow(raw-thread-outside-common)
+  const std::thread::id caller =  // dswm-semlint: allow(raw-thread-outside-common)
       std::this_thread::get_id();
-  std::thread::id seen;  // dswm-lint: allow(raw-thread-outside-common)
+  std::thread::id seen;  // dswm-semlint: allow(raw-thread-outside-common)
   pool.ParallelFor(10, [&seen](int, int) {
     seen = std::this_thread::get_id();
   });

@@ -211,6 +211,21 @@ TEST(RunTrackerValidation, RejectsBadRowsWithoutFeedingTracker) {
   EXPECT_EQ(tracker->Comm().TotalWords() >= 0, true);
 }
 
+TEST(RunTrackerValidation, RejectsNegativeFirstTimestamp) {
+  // Every site window starts at tick 0; an earlier row would trip the
+  // trackers' time CHECKs.
+  for (const Timestamp t :
+       {Timestamp{-5}, Timestamp{-9'200'000'000'000'000'000}}) {
+    auto tracker = SmallTracker(Algorithm::kPwor);
+    EXPECT_EQ(RunTracker(tracker.get(), {RowAt(t, 3), RowAt(1, 3)}, 2, 2,
+                         DriverOptions())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << t;
+  }
+}
+
 TEST(DriverSnapshotPath, QueryEvaluationAvoidsGratuitousCopies) {
   // The driver snapshots tracker state at each query point; the estimate
   // must move (not deep-copy) into the evaluation. Replaying the same

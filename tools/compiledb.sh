@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Prints the path of a compile_commands.json for this tree, configuring a
-# build directory to produce one if none exists yet. All AST-driven
-# tooling (tools/dswm_semlint.py's libclang frontend, clang-tidy, editor
-# language servers) shares this one database; CMakeLists.txt exports it
-# unconditionally (CMAKE_EXPORT_COMPILE_COMMANDS), so any configured
-# build directory works.
+# build directory to produce one if none exists yet. clang-tidy (the
+# run_checks.sh tidy stages) and editor language servers share this one
+# database; CMakeLists.txt exports it unconditionally
+# (CMAKE_EXPORT_COMPILE_COMMANDS), so any configured build directory
+# works.
 #
 # Usage:
 #   tools/compiledb.sh            # print path (configure build/ if needed)

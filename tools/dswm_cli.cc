@@ -6,7 +6,9 @@
 // RunTracker (monitor/driver.h); --net-delay frames land inside the
 // tracker calls that reach their due tick.
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "common/flags.h"
@@ -317,6 +319,19 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 }
 
 int CmdSweep(const FlagSet& flags) {
+  // Each entry must be a whole finite number; the tracker config checks
+  // the range.
+  std::vector<double> epsilons;
+  for (const std::string& entry :
+       SplitCommas(flags.GetString("epsilons", "0.2,0.1,0.05"))) {
+    char* end = nullptr;
+    const double eps = std::strtod(entry.c_str(), &end);
+    if (end == entry.c_str() || *end != '\0' || !std::isfinite(eps)) {
+      return Fail(Status::InvalidArgument("--epsilons entry '" + entry +
+                                          "' is not a finite number"));
+    }
+    epsilons.push_back(eps);
+  }
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   auto data = BuildDataset(flags.GetString("dataset", "synthetic"),
                            static_cast<int>(flags.GetInt("rows", 0)), seed);
@@ -335,11 +350,6 @@ int CmdSweep(const FlagSet& flags) {
     auto parsed = ParseAlgorithm(name);
     if (!parsed.ok()) return Fail(parsed.status());
     algorithms.push_back(parsed.value());
-  }
-  std::vector<double> epsilons;
-  for (const std::string& e :
-       SplitCommas(flags.GetString("epsilons", "0.2,0.1,0.05"))) {
-    epsilons.push_back(std::atof(e.c_str()));
   }
 
   std::printf("algorithm,epsilon,sites,avg_err,max_err,words_per_window,"

@@ -1,30 +1,56 @@
 #!/usr/bin/env python3
-"""Semantic (AST-level) linter for the dswm codebase.
+"""Repo-invariant linter for the dswm codebase.
 
-Enforces the concurrency and error-handling contracts that the regex
-linter (tools/dswm_lint.py, rules R1-R4 + R7) structurally cannot see:
-rules here need a symbol table, statement boundaries, expression shape
-(ternaries, lambdas, cast-to-void), or class-body structure. Rules R5 and
-R6 started life as regex rules in dswm_lint.py and were migrated here.
+Enforces the determinism, concurrency and error-handling contracts the
+paper reproduction depends on, beyond what the compiler and clang-tidy
+check. Every rule runs over one C++-aware token stream (comments, string
+literals and preprocessor directives never match a code rule); the
+structural rules add statement boundaries, expression shape (ternaries,
+lambdas, cast-to-void), class-body structure and a tree-wide symbol table.
 
+  R1  rng-outside-common
+          No rand()/srand()/std::random_device/std engines (mt19937,
+          minstd_rand, ranlux) outside src/common/rng.h. Every random draw
+          flows through the seeded dswm::Rng so experiments replay
+          bit-identically.
+  R2  no-exceptions
+          No throw/try/catch anywhere. Fallible operations return
+          Status/StatusOr (common/status.h); contract violations use
+          DSWM_CHECK.
+  R3  header-guard
+          Every header's include guard is derived from its path:
+          src/linalg/matrix.h -> DSWM_LINALG_MATRIX_H_ (the src/ prefix is
+          stripped; other roots keep their directory name), and the file
+          closes with `#endif  // <guard>`.
+  R4  float-eq-in-tests
+          No EXPECT_EQ/ASSERT_EQ in tests/ with a floating-point literal as
+          a top-level argument; windowed-sketch estimates carry rounding,
+          so tests state a tolerance (EXPECT_NEAR) or an exactness claim
+          (EXPECT_DOUBLE_EQ).
   R5  raw-thread-outside-common
           No std::thread / std::jthread / std::async outside src/common/.
-          All parallelism flows through common/thread_pool.h so the
-          deterministic single-threaded default holds. This includes
-          batched fan-out: batches of small-matrix problems go through
-          linalg/batched.h (one ThreadPool dispatch per batch), never a
-          hand-rolled thread-per-problem loop. (Migrated.)
+          All parallelism, batched fan-out included, flows through
+          common/thread_pool.h so the deterministic single-threaded
+          default holds.
   R6  comm-outside-net
           No CommStats mutation (member SendUp/SendDown/Broadcast calls)
           in src/ outside src/net/: comm accounting is derived from the
-          message ledger, never hand-counted. (Migrated.)
+          message ledger, never hand-counted.
+  R7  raw-timing-outside-obs
+          No Stopwatch/std::chrono outside src/common/ and src/obs/. Phase
+          timing flows through obs::Span (obs/span.h) so wall-clock metrics
+          sit behind the single enabled gate and the .wall_ns naming
+          convention; ad-hoc timers would be invisible to --metrics-json
+          and to the determinism contract's wall-time exclusion.
   R8  discarded-status
           No call whose result is Status/StatusOr may be evaluated as a
           discarded expression -- as a bare expression statement, behind a
           (void) cast (outside tests/), through either branch of a
           ternary statement, or inside a lambda body. The compiler's
           [[nodiscard]] only fires with -Werror and never in
-          uninstantiated templates; this rule always fires.
+          uninstantiated templates; this rule always fires. Names declared
+          returning both Status and void somewhere are ambiguous without
+          overload resolution and are skipped (the OK line counts them).
   R9  unordered-iteration
           No iteration (range-for, .begin()/.end() loops) over
           std::unordered_{map,set,multimap,multiset} in src/core,
@@ -32,50 +58,34 @@ R6 started life as regex rules in dswm_lint.py and were migrated here.
           implementation-defined and would leak into tracker results,
           breaking the bit-identity contract.
   R10 mutex-without-capability
-          Every mutex-typed class member must participate in the clang
-          thread-safety capability system: raw std::mutex is confined to
-          src/common/mutex.h (it cannot carry the CAPABILITY attribute),
-          and every dswm::Mutex member must be referenced by at least one
-          DSWM_GUARDED_BY / DSWM_PT_GUARDED_BY / DSWM_REQUIRES /
-          DSWM_ACQUIRE / DSWM_RELEASE / DSWM_EXCLUDES annotation in the
-          same class -- an unannotated lock checks nothing.
+          Raw std::mutex members only in src/common/mutex.h (they cannot
+          carry the CAPABILITY attribute), and every dswm::Mutex member is
+          named by at least one DSWM_GUARDED_BY / DSWM_REQUIRES / ...
+          annotation in its class -- an unannotated lock checks nothing.
   R11 cast-confinement
           No const_cast / reinterpret_cast outside src/net/ (wire framing
           is the one sanctioned place to reinterpret bytes; linalg binary
           I/O stages through memcpy instead).
   R12 socket-confinement
-          No raw POSIX socket/poll/select calls (socket, socketpair,
-          accept, listen, poll, select, epoll_*, recvmsg, sendmsg, ...)
-          outside src/net/: transport I/O flows through net::Channel,
-          never ad-hoc descriptors. Member and qualified calls (x.poll(),
-          ns::select()) are not raw sockets and do not fire.
+          No unqualified POSIX socket/poll/select calls (socket, accept,
+          poll, select, epoll_*, sendmsg, ...) outside src/net/:
+          transport I/O flows through net::Channel. x.poll() and
+          ns::select() do not fire.
   R13 snapshot-immutability
-          No member call to CovarianceEstimate::MaterializeAndSeal
-          (x.MaterializeAndSeal(), p->MaterializeAndSeal()) outside
-          src/serve/: sealing is the serving tier's publish-time step.
-          Everywhere else an estimate is either still being built (the
-          tracker side) or already sealed behind a SnapshotRef; a stray
-          seal call would hide a mutation on what readers assume is an
-          immutable snapshot. The qualified definition
-          (CovarianceEstimate::MaterializeAndSeal() { ... }) in
-          src/core/ does not fire.
+          No x.MaterializeAndSeal() / p->MaterializeAndSeal() member call
+          outside src/serve/: sealing is the serving tier's publish-time
+          step, and a stray seal elsewhere would hide a mutation of what
+          readers take for an immutable snapshot.
 
-Frontends: with the clang python bindings + libclang available the rules
-that benefit from real types (R8, R9) run over the actual AST using the
-build's compile_commands.json; otherwise a built-in C++ lexer and
-structural parser computes the same verdicts (statement splitting,
-brace-tree classification, declaration scanning). Both frontends share
-the structural rules (R5, R6, R10, R11) and the reporting format.
+Every rule has a violating and a clean fixture under
+tests/semlint_fixtures/<rule>/ (tools/dswm_semlint_test.py). The only way
+to suppress a finding is a trailing `// dswm-semlint: allow(<rule>)` on
+its line, with a justifying comment.
 
-Grandfather lists are EMPTY and must stay empty -- tools/run_checks.sh
-fails the gate if any rule acquires one. Suppress a single line with a
-trailing `// dswm-semlint: allow(<rule>)` and a justifying comment.
-
-Exit status: 0 clean, 1 violations, 2 usage/environment error.
+Exit status: 0 clean, 1 violations, 2 usage error.
 """
 
 import argparse
-import json
 import pathlib
 import re
 import sys
@@ -86,6 +96,14 @@ CPP_SUFFIXES = (".h", ".cc", ".cpp")
 # staged tree with realistic pretend paths.
 EXCLUDED_PARTS = {("tests", "semlint_fixtures")}
 
+RULES = ("rng-outside-common", "no-exceptions", "header-guard",
+         "float-eq-in-tests", "raw-thread-outside-common", "comm-outside-net",
+         "raw-timing-outside-obs", "discarded-status", "unordered-iteration",
+         "mutex-without-capability", "cast-confinement",
+         "socket-confinement", "snapshot-immutability")
+
+RNG_ALLOWED = {pathlib.PurePosixPath("src/common/rng.h")}
+TIMING_ALLOWED_PREFIXES = (("src", "common"), ("src", "obs"))
 THREAD_ALLOWED_PREFIX = ("src", "common")
 COMM_ALLOWED_PREFIX = ("src", "net")
 CAST_ALLOWED_PREFIX = ("src", "net")
@@ -95,22 +113,14 @@ UNORDERED_SCOPED_PREFIXES = (("src", "core"), ("src", "window"),
                              ("src", "sketch"))
 STD_MUTEX_ALLOWED = {pathlib.PurePosixPath("src/common/mutex.h")}
 
-# Grandfather lists: one set of PurePosixPath per rule. All empty; the
-# run_checks.sh gate greps this block and fails on any entry.
-GRANDFATHERED = {
-    "raw-thread-outside-common": set(),
-    "comm-outside-net": set(),
-    "discarded-status": set(),
-    "unordered-iteration": set(),
-    "mutex-without-capability": set(),
-    "cast-confinement": set(),
-    "socket-confinement": set(),
-    "snapshot-immutability": set(),
-}
+ALLOW = re.compile(r"//\s*dswm-semlint:\s*allow\(([\w-]+)\)")
 
-# Legacy `dswm-lint:` markers stay honored for the migrated rules so the
-# move from the regex linter did not require touching every suppression.
-ALLOW = re.compile(r"//\s*dswm-(?:sem)?lint:\s*allow\(([\w-]+)\)")
+# std:: names that start a standard random engine or device (R1).
+STD_RNG_PREFIXES = ("random_device", "mt19937", "minstd_rand", "ranlux")
+# A whole EXPECT_EQ argument that is a floating-point literal (R4).
+FLOAT_LITERAL = re.compile(
+    r"^[-+]?(\d+\.\d*|\.\d+)(e[-+]?\d+)?[fl]?$|^[-+]?\d+e[-+]?\d+[fl]?$",
+    re.IGNORECASE)
 
 UNORDERED_TYPES = {"unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset"}
@@ -158,8 +168,10 @@ NUM_RE = re.compile(r"[0-9](?:[0-9a-fA-FxXbB'.]|[eEpP][+-]?)*")
 def tokenize(text):
     """C++-aware token stream: comments, strings, char literals, and
     preprocessor directives are consumed (not emitted); line numbers are
-    preserved for reporting."""
+    preserved for reporting. Returns (tokens, directives), where each
+    directive is (line, full text)."""
     toks = []
+    directives = []
     i, n, line = 0, len(text), 1
     while i < n:
         c = text[i]
@@ -179,6 +191,7 @@ def tokenize(text):
         elif c == "#":
             # Preprocessor directive: consume to end of line, honoring
             # backslash continuations.
+            start_line = line
             j = i
             while j < n:
                 k = text.find("\n", j)
@@ -191,6 +204,7 @@ def tokenize(text):
                     continue
                 j = k
                 break
+            directives.append((start_line, text[i:j]))
             i = j
         elif c == "R" and i + 1 < n and text[i + 1] == '"':
             # Raw string literal R"delim( ... )delim"
@@ -234,7 +248,7 @@ def tokenize(text):
             else:
                 toks.append(Token("punct", c, line))
                 i += 1
-    return toks
+    return toks, directives
 
 
 OPEN = {"(": ")", "[": "]", "{": "}"}
@@ -287,19 +301,14 @@ class FileUnit:
     def __init__(self, rel, text):
         self.rel = rel  # PurePosixPath relative to root
         self.text = text
-        self.toks = tokenize(text)
+        self.toks, self.directives = tokenize(text)
         self.pairs = match_brackets(self.toks)
         self.allowed = allow_map(text)
 
-    def is_allowed(self, line_no, rule):
-        return rule in self.allowed.get(line_no, set())
-
     def emit(self, rep, line_no, rule, msg):
-        if self.is_allowed(line_no, rule):
-            return
-        if self.rel in GRANDFATHERED.get(rule, set()):
-            return
-        rep.report(self.rel, line_no, rule, msg)
+        assert rule in RULES, rule
+        if rule not in self.allowed.get(line_no, set()):
+            rep.report(self.rel, line_no, rule, msg)
 
 
 def under(rel, prefix):
@@ -307,14 +316,137 @@ def under(rel, prefix):
 
 
 # ---------------------------------------------------------------------------
-# Symbol table for R8 (both frontends; the libclang frontend refines it)
+# R1-R4, R7: token rules
+# ---------------------------------------------------------------------------
+
+def is_std_qualified(toks, i):
+    """Is toks[i] the name in a `std::name` spelling?"""
+    return i >= 2 and toks[i - 1].text == "::" and toks[i - 2].text == "std"
+
+
+def check_rng(u, rep):
+    if u.rel in RNG_ALLOWED:
+        return
+    toks = u.toks
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        if t.text.startswith(STD_RNG_PREFIXES) and is_std_qualified(toks, i):
+            what = f"std::{t.text}"
+        elif t.text in ("rand", "srand") and i + 1 < n and \
+                toks[i + 1].text == "(" and \
+                not (i > 0 and toks[i - 1].text == "::"):
+            what = f"{t.text}()"
+        else:
+            continue
+        u.emit(rep, t.line, "rng-outside-common",
+               f"'{what}' breaks replayability; draw from a seeded "
+               "dswm::Rng (common/rng.h) instead")
+
+
+def check_exceptions(u, rep):
+    toks = u.toks
+    for i, t in enumerate(toks):
+        if t.kind == "id" and t.text in ("throw", "try", "catch") and \
+                not (i > 0 and toks[i - 1].text == "::"):
+            u.emit(rep, t.line, "no-exceptions",
+                   f"'{t.text}' found; this codebase is exception-free -- "
+                   "return Status/StatusOr or DSWM_CHECK")
+
+
+def expected_guard(rel):
+    parts = rel.with_suffix("").parts
+    if parts[0] == "src":
+        parts = parts[1:]
+    return "DSWM_" + re.sub(r"[^0-9a-zA-Z]", "_", "_".join(parts)).upper() + \
+        "_H_"
+
+
+def check_header_guard(u, rep):
+    if u.rel.suffix != ".h":
+        return
+    want = expected_guard(u.rel)
+    closing = f"#endif  // {want}"
+    words = [(line, text[1:].split()) for (line, text) in u.directives]
+    # The guard: the first `#ifndef X` directive followed by a `#define Y`.
+    guard = next(((line, a[1], b[1])
+                  for (line, a), (_, b) in zip(words, words[1:])
+                  if len(a) > 1 and len(b) > 1 and
+                  (a[0], b[0]) == ("ifndef", "define")), None)
+    if guard is None:
+        u.emit(rep, 1, "header-guard",
+               f"missing #ifndef/#define include guard (want {want})")
+    elif guard[1:] != (want, want):
+        u.emit(rep, guard[0], "header-guard",
+               f"guard is '{guard[1]}', want '{want}'")
+    elif not any(text.startswith(closing) for (_, text) in u.directives):
+        u.emit(rep, u.text.count("\n") + 1, "header-guard",
+               f"closing '{closing}' comment missing")
+
+
+def top_level_args(toks, pairs, start, end):
+    """(start, end) token ranges of the comma-separated arguments in
+    toks[start:end), nested brackets opaque."""
+    args = []
+    i = arg_start = start
+    while i < end:
+        t = toks[i]
+        if t.kind == "punct" and t.text in OPEN:
+            i = pairs.get(i, end - 1) + 1
+            continue
+        if t.text == ",":
+            args.append((arg_start, i))
+            arg_start = i + 1
+        i += 1
+    args.append((arg_start, end))
+    return args
+
+
+def check_float_eq(u, rep):
+    if u.rel.parts[0] != "tests":
+        return
+    toks, pairs = u.toks, u.pairs
+    for i, t in enumerate(toks[:-1]):
+        if t.kind != "id" or t.text not in ("EXPECT_EQ", "ASSERT_EQ") or \
+                toks[i + 1].text != "(" or i + 1 not in pairs:
+            continue
+        for (s, e) in top_level_args(toks, pairs, i + 2, pairs[i + 1]):
+            arg = "".join(tok.text for tok in toks[s:e])
+            if FLOAT_LITERAL.match(arg):
+                u.emit(rep, t.line, "float-eq-in-tests",
+                       f"{t.text} against float literal '{arg}'; use "
+                       "EXPECT_NEAR(..., tol) or EXPECT_DOUBLE_EQ")
+                break
+
+
+def check_raw_timing(u, rep):
+    if any(under(u.rel, p) for p in TIMING_ALLOWED_PREFIXES):
+        return
+    toks = u.toks
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        if t.text == "Stopwatch":
+            what = "Stopwatch"
+        elif t.text == "chrono" and is_std_qualified(toks, i):
+            what = "std::chrono"
+        else:
+            continue
+        u.emit(rep, t.line, "raw-timing-outside-obs",
+               f"'{what}' outside src/common/ and src/obs/; time phases "
+               "with obs::Span (obs/span.h) so wall-clock metrics stay "
+               "behind the enabled gate and the .wall_ns convention")
+
+
+# ---------------------------------------------------------------------------
+# Symbol table for R8
 # ---------------------------------------------------------------------------
 
 def collect_status_functions(units):
     """Names declared with Status/StatusOr return type anywhere in the
     tree, minus names that are also declared returning void somewhere
-    (ambiguous without real overload resolution; the libclang frontend
-    resolves those via actual types)."""
+    (ambiguous without real overload resolution)."""
     status, void = set(), set()
 
     def plausible_function(name):
@@ -367,7 +499,7 @@ def collect_status_functions(units):
 
 
 # ---------------------------------------------------------------------------
-# Built-in frontend: statement-level analysis
+# R8: statement-level analysis
 # ---------------------------------------------------------------------------
 
 BLOCK_PREDECESSORS = {")", "]", "else", "do", "try", "{", "}", ";"}
@@ -528,7 +660,7 @@ def check_discarded_status(u, status_funcs, rep):
 
 
 # ---------------------------------------------------------------------------
-# R9: unordered-container iteration (built-in frontend)
+# R9: unordered-container iteration
 # ---------------------------------------------------------------------------
 
 def unordered_var_names(u):
@@ -717,7 +849,7 @@ def check_mutex_capability(u, rep):
 
 
 # ---------------------------------------------------------------------------
-# R5 / R6 / R11: migrated + token-level rules
+# R5 / R6 / R11-R13: confinement rules
 # ---------------------------------------------------------------------------
 
 def check_raw_thread(u, rep):
@@ -726,8 +858,7 @@ def check_raw_thread(u, rep):
     toks = u.toks
     for i, t in enumerate(toks):
         if t.kind == "id" and t.text in ("thread", "jthread", "async") and \
-                i >= 2 and toks[i - 1].text == "::" and \
-                toks[i - 2].text == "std":
+                is_std_qualified(toks, i):
             u.emit(rep, t.line, "raw-thread-outside-common",
                    f"'std::{t.text}' outside src/common/; route parallelism "
                    "through dswm::ThreadPool (common/thread_pool.h) so the "
@@ -800,80 +931,6 @@ def check_socket_confinement(u, rep):
 
 
 # ---------------------------------------------------------------------------
-# libclang frontend (used when the bindings + library are importable)
-# ---------------------------------------------------------------------------
-
-def try_libclang(root, units, compile_commands, rep):
-    """Runs R8/R9 over the real AST. Returns True on success; on any
-    failure the caller falls back to the built-in frontend for those
-    rules (structural rules always run built-in)."""
-    try:
-        import clang.cindex as ci  # noqa: PLC0415
-
-        index = ci.Index.create()
-        by_file = {}
-        if compile_commands and compile_commands.exists():
-            for entry in json.loads(compile_commands.read_text()):
-                args = [a for a in entry.get("arguments",
-                                             entry.get("command", "").split())
-                        if a not in ("-c", "-o")][1:]
-                by_file[pathlib.Path(entry["directory"], entry["file"])
-                        .resolve()] = args
-
-        wanted = {(root / u.rel).resolve(): u for u in units}
-
-        def unit_for(loc):
-            if loc.file is None:
-                return None
-            return wanted.get(pathlib.Path(loc.file.name).resolve())
-
-        def status_type(t):
-            s = t.spelling
-            return s.startswith(("dswm::Status", "Status", "dswm::StatusOr",
-                                 "StatusOr"))
-
-        def walk(node, parent):
-            u = unit_for(node.location)
-            if u is not None:
-                if node.kind == ci.CursorKind.CALL_EXPR and \
-                        status_type(node.type) and parent is not None and \
-                        parent.kind in (ci.CursorKind.COMPOUND_STMT,):
-                    u.emit(rep, node.location.line, "discarded-status",
-                           f"result of '{node.spelling}(...)' "
-                           "(returns Status/StatusOr) is discarded; check "
-                           "it, propagate it (DSWM_RETURN_NOT_OK), or "
-                           "DSWM_CHECK(...ok())")
-                if node.kind == ci.CursorKind.CXX_FOR_RANGE_STMT and \
-                        any(under(u.rel, p)
-                            for p in UNORDERED_SCOPED_PREFIXES):
-                    children = list(node.get_children())
-                    if children:
-                        rng = children[-2] if len(children) >= 2 else None
-                        if rng is not None and "unordered_" in \
-                                rng.type.spelling:
-                            u.emit(rep, node.location.line,
-                                   "unordered-iteration",
-                                   "range-for over unordered container; "
-                                   "iteration order is implementation-"
-                                   "defined and may reach a tracker result")
-            for child in node.get_children():
-                walk(child, node)
-
-        parsed_any = False
-        for path, args in by_file.items():
-            if path not in wanted:
-                continue
-            tu = index.parse(str(path), args=args)
-            walk(tu.cursor, None)
-            parsed_any = True
-        return parsed_any
-    except Exception as exc:  # any failure -> honest fallback
-        print(f"dswm_semlint: libclang frontend unavailable ({exc}); "
-              "using built-in parser", file=sys.stderr)
-        return False
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -895,25 +952,15 @@ def collect_files(root):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="AST-level linter (see module docstring for rules)")
+        description="repo-invariant linter (see module docstring for rules)")
     parser.add_argument("--root", default=".",
                         help="repository root (default: cwd)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json for the libclang "
-                        "frontend (tools/compiledb.sh prints one)")
-    parser.add_argument("--frontend", choices=("auto", "libclang", "builtin"),
-                        default="auto")
     args = parser.parse_args()
     root = pathlib.Path(args.root).resolve()
     if not (root / "src").is_dir():
         print(f"dswm_semlint: {root} does not look like the repo root",
               file=sys.stderr)
         return 2
-    for rule, entries in GRANDFATHERED.items():
-        if entries:
-            print(f"dswm_semlint: grandfather list for '{rule}' must stay "
-                  f"empty but has {len(entries)} entries", file=sys.stderr)
-            return 2
 
     rep = Reporter()
     units = []
@@ -923,33 +970,27 @@ def main():
 
     status_funcs, ambiguous = collect_status_functions(units)
 
-    ast_done = False
-    if args.frontend in ("auto", "libclang"):
-        cc = pathlib.Path(args.compile_commands) if args.compile_commands \
-            else None
-        ast_done = try_libclang(root, units, cc, rep)
-        if args.frontend == "libclang" and not ast_done:
-            return 2
-
     for u in units:
-        if not ast_done:
-            check_discarded_status(u, status_funcs, rep)
-            check_unordered_iteration(u, rep)
-        check_mutex_capability(u, rep)
+        check_rng(u, rep)
+        check_exceptions(u, rep)
+        check_header_guard(u, rep)
+        check_float_eq(u, rep)
         check_raw_thread(u, rep)
         check_comm_mutation(u, rep)
+        check_raw_timing(u, rep)
+        check_discarded_status(u, status_funcs, rep)
+        check_unordered_iteration(u, rep)
+        check_mutex_capability(u, rep)
         check_cast_confinement(u, rep)
         check_socket_confinement(u, rep)
         check_snapshot_immutability(u, rep)
 
-    frontend = "libclang" if ast_done else "builtin"
     if rep.count:
-        print(f"dswm_semlint: {rep.count} violation(s) in {len(units)} "
-              f"files ({frontend} frontend)")
+        print(f"dswm_semlint: {rep.count} violation(s) in {len(units)} files")
         return 1
     note = f", {len(ambiguous)} name(s) ambiguous" if ambiguous else ""
-    print(f"dswm_semlint: OK ({len(units)} files clean, {frontend} "
-          f"frontend, {len(status_funcs)} Status-returning symbols{note})")
+    print(f"dswm_semlint: OK ({len(units)} files clean, {len(status_funcs)} "
+          f"Status-returning symbols{note})")
     return 0
 
 

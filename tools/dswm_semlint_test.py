@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
 """Self-test for tools/dswm_semlint.py against the committed fixtures.
 
-Every rule ships at least one violating (`bad_*`) and one clean (`ok_*`)
-fixture under tests/semlint_fixtures/<rule>/. Each fixture's first line
-declares the in-tree path it impersonates:
+Every rule in the linter's RULES ships at least one violating (`bad_*`)
+and one clean (`ok_*`) fixture, a .cc or .h file under
+tests/semlint_fixtures/<rule>/. Each fixture's first line declares the
+in-tree path it impersonates:
 
     // semlint-fixture-path: src/core/bad_unordered.cc
 
 The test stages all fixtures into a temporary tree at those paths (the
 directory-scoped rules only fire on realistic locations), runs the
-linter over the staged tree with the built-in frontend, and asserts:
+linter over the staged tree, and asserts:
 
   * every bad fixture yields >= 1 violation of its own rule,
-  * no ok fixture yields any violation of its own rule,
-  * a staging of only the ok fixtures exits 0 (fully clean), and
-  * the grandfather lists in the linter source are empty.
+  * no ok fixture yields any violation of its own rule, and
+  * a staging of only the ok fixtures exits 0 (fully clean).
 
 Run directly or via ctest (dswm_semlint_selftest):
     tools/dswm_semlint_test.py --root <repo-root>
 """
 
 import argparse
+import importlib.util
 import pathlib
 import re
 import shutil
@@ -38,7 +39,8 @@ def load_fixtures(fixture_root):
     for rule_dir in sorted(fixture_root.iterdir()):
         if not rule_dir.is_dir():
             continue
-        for f in sorted(rule_dir.glob("*.cc")):
+        for f in sorted(p for p in rule_dir.iterdir()
+                        if p.suffix in (".cc", ".h")):
             first = f.read_text(encoding="utf-8").splitlines()[0]
             m = FIXTURE_PATH_RE.search(first)
             if not m:
@@ -47,8 +49,11 @@ def load_fixtures(fixture_root):
             is_bad = f.name.startswith("bad_")
             if not is_bad and not f.name.startswith("ok_"):
                 raise SystemExit(f"{f}: fixture name must start bad_ or ok_")
-            fixtures.append((rule_dir.name, is_bad, f,
-                             pathlib.PurePosixPath(m.group(1))))
+            rel = pathlib.PurePosixPath(m.group(1))
+            if any(rel == other for (_, _, _, other) in fixtures):
+                raise SystemExit(f"{f}: another fixture already stages "
+                                 f"at {rel}")
+            fixtures.append((rule_dir.name, is_bad, f, rel))
     return fixtures
 
 
@@ -62,8 +67,7 @@ def stage(fixtures, stage_dir):
 
 def run_semlint(linter, stage_dir):
     proc = subprocess.run(
-        [sys.executable, str(linter), "--root", str(stage_dir),
-         "--frontend", "builtin"],
+        [sys.executable, str(linter), "--root", str(stage_dir)],
         capture_output=True, text=True)
     violations = {}  # relpath -> set of rules
     for line in proc.stdout.splitlines():
@@ -85,23 +89,20 @@ def main():
               file=sys.stderr)
         return 2
 
+    spec = importlib.util.spec_from_file_location("dswm_semlint", linter)
+    semlint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(semlint)
+
     fixtures = load_fixtures(fixture_root)
-    rules = {rule for (rule, _, _, _) in fixtures}
-    for rule in sorted(rules):
+    rules = set(semlint.RULES)
+    for rule in sorted(rules | {r for (r, _, _, _) in fixtures}):
         kinds = {is_bad for (r, is_bad, _, _) in fixtures if r == rule}
-        if kinds != {True, False}:
-            print(f"semlint selftest: rule '{rule}' needs both a bad_ and "
-                  "an ok_ fixture", file=sys.stderr)
+        if rule not in rules or kinds != {True, False}:
+            print(f"semlint selftest: '{rule}' must be a linter rule with "
+                  "both a bad_ and an ok_ fixture", file=sys.stderr)
             return 2
 
     failures = []
-
-    # Grandfather lists must be empty (the run_checks.sh gate relies on it).
-    src = linter.read_text(encoding="utf-8")
-    block = re.search(r"GRANDFATHERED = \{(.*?)\n\}", src, re.S)
-    if not block or re.search(r":\s*\{\s*\"", block.group(1)):
-        failures.append("GRANDFATHERED lists in dswm_semlint.py are missing "
-                        "or non-empty")
 
     with tempfile.TemporaryDirectory(prefix="semlint_fixtures_") as tmp:
         stage_dir = pathlib.Path(tmp) / "all"
