@@ -38,7 +38,7 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   work_ready_.NotifyAll();
-  for (std::thread& w : workers_) w.join();  // dswm-semlint: allow(raw-thread-outside-common)
+  for (std::thread& w : workers_) w.join();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -26,7 +26,7 @@
 
 #include <deque>
 #include <functional>
-#include <thread>  // dswm-semlint: allow(raw-thread-outside-common)
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -99,7 +99,7 @@ class ThreadPool {
   bool stopping_ DSWM_GUARDED_BY(mu_) = false;
   // Written only by the constructor, joined by the destructor; never
   // touched while workers run.
-  std::vector<std::thread> workers_;  // dswm-semlint: allow(raw-thread-outside-common)
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace dswm

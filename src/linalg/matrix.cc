@@ -5,8 +5,6 @@
 
 #if defined(__AVX__)
 #include <immintrin.h>
-#elif defined(__SSE2__)
-#include <emmintrin.h>
 #endif
 
 #include "common/thread_pool.h"
@@ -190,13 +188,13 @@ void MatTVec(const Matrix& a, const double* x, double* y) {
 
 namespace {
 
-// Micro-tile rows / cols, sized so the accumulator tile occupies 8 of the
-// 16 vector registers with room left for the A broadcasts and B loads; a
-// wider tile spills the accumulators to the stack and halves throughput.
-// AVX (4 doubles per ymm) carries a 4 x 8 tile, SSE2 (2 doubles per xmm)
-// a 4 x 4 one. DSWM_AVX=ON (the default) builds this file with -mavx but
+// Micro-tile rows / cols. Under AVX (4 doubles per ymm) the 4 x 8
+// accumulator tile occupies 8 of the 16 vector registers with room left
+// for the A broadcasts and B loads; a wider tile spills the accumulators
+// to the stack and halves throughput. The portable build uses scalar
+// 4 x 4 tiles. DSWM_AVX=ON (the default) builds this file with -mavx but
 // never -mfma: every vector op is per-lane IEEE mul/add, so results stay
-// bit-identical across the AVX, SSE2, and scalar bodies.
+// bit-identical across the AVX and portable bodies.
 constexpr int kMr = 4;
 #if defined(__AVX__)
 constexpr int kNr = 8;
@@ -204,9 +202,9 @@ constexpr int kNr = 8;
 constexpr int kNr = 4;
 #endif
 // Reduction slice processed between flushes of an output tile. Bounds the
-// working set of the k-blocked kernels: a kKc x kNr B panel (8 KiB) stays
-// L1-resident across all row tiles of a panel, and a kKc-column slice of A
-// stays in L2 across panels.
+// working set of the k-blocked kernels: a kKc x kNr B panel (16 KiB under
+// AVX) stays L1-resident across all row tiles of a panel, and a
+// kKc-column slice of A stays in L2 across panels.
 constexpr int kKc = 256;
 // Below this many multiply-adds the thread pool is not consulted.
 constexpr long kParallelMulAddThreshold = 1L << 16;
@@ -217,14 +215,10 @@ constexpr long kParallelMulAddThreshold = 1L << 16;
 
 // One multiply-accumulate step of an accumulator chain: a separate
 // per-lane IEEE multiply and add, never fused, so results stay
-// bit-identical across the AVX / SSE2 / scalar bodies.
+// bit-identical across the AVX and portable bodies.
 #if defined(__AVX__)
 inline __m256d MulAdd(__m256d acc, __m256d a, __m256d b) {
   return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
-}
-#elif defined(__SSE2__)
-inline __m128d MulAdd(__m128d acc, __m128d a, __m128d b) {
-  return _mm_add_pd(acc, _mm_mul_pd(a, b));
 }
 #endif
 
@@ -233,7 +227,7 @@ inline __m128d MulAdd(__m128d acc, __m128d a, __m128d b) {
 // starts the accumulator chains at zero; later k blocks reload the exact
 // stored partials, so the per-element chain is one ascending-k sum.
 //
-// The SSE2 body is element-wise identical to the scalar one: mulpd/addpd
+// The AVX body is element-wise identical to the scalar one: vmulpd/vaddpd
 // are per-lane IEEE operations and intrinsics are never contracted to FMA,
 // so each output element still accumulates as the same ascending-k chain.
 #if defined(__AVX__)
@@ -295,100 +289,6 @@ inline void MatMulTileFull(const Matrix& a, const double* bp, Matrix* c,
   _mm256_storeu_pd(o3, c30);
   _mm256_storeu_pd(o3 + 4, c31);
 }
-#elif defined(__SSE2__)
-// `bp` is the panel-major packed copy of B[k0:k1, j0:j0+kNr): kNr
-// consecutive doubles per k, k ascending — sequential loads in the hot
-// loop instead of a 4 KiB-strided walk of B.
-inline void MatMulTileFull(const Matrix& a, const double* bp, Matrix* c,
-                           int i0, int j0, int k0, int k1, bool first) {
-  const double* bk = bp;
-  const double* a0 = a.Row(i0) + k0;
-  const double* a1 = a.Row(i0 + 1) + k0;
-  const double* a2 = a.Row(i0 + 2) + k0;
-  const double* a3 = a.Row(i0 + 3) + k0;
-  __m128d c00, c01, c10, c11, c20, c21, c30, c31;
-  if (first) {
-    c00 = c01 = c10 = c11 = c20 = c21 = c30 = c31 = _mm_setzero_pd();
-  } else {
-    const double* r0 = c->Row(i0) + j0;
-    const double* r1 = c->Row(i0 + 1) + j0;
-    const double* r2 = c->Row(i0 + 2) + j0;
-    const double* r3 = c->Row(i0 + 3) + j0;
-    c00 = _mm_loadu_pd(r0);
-    c01 = _mm_loadu_pd(r0 + 2);
-    c10 = _mm_loadu_pd(r1);
-    c11 = _mm_loadu_pd(r1 + 2);
-    c20 = _mm_loadu_pd(r2);
-    c21 = _mm_loadu_pd(r2 + 2);
-    c30 = _mm_loadu_pd(r3);
-    c31 = _mm_loadu_pd(r3 + 2);
-  }
-  // k is unrolled by two; each accumulator still receives its terms in
-  // ascending k order within one chain, so no reassociation occurs.
-  const int len = k1 - k0;
-  int k = 0;
-  for (; k + 2 <= len; k += 2) {
-    __m128d b0 = _mm_loadu_pd(bk);
-    __m128d b1 = _mm_loadu_pd(bk + 2);
-    __m128d av = _mm_set1_pd(a0[k]);
-    c00 = MulAdd(c00, av, b0);
-    c01 = MulAdd(c01, av, b1);
-    av = _mm_set1_pd(a1[k]);
-    c10 = MulAdd(c10, av, b0);
-    c11 = MulAdd(c11, av, b1);
-    av = _mm_set1_pd(a2[k]);
-    c20 = MulAdd(c20, av, b0);
-    c21 = MulAdd(c21, av, b1);
-    av = _mm_set1_pd(a3[k]);
-    c30 = MulAdd(c30, av, b0);
-    c31 = MulAdd(c31, av, b1);
-    bk += kNr;
-    b0 = _mm_loadu_pd(bk);
-    b1 = _mm_loadu_pd(bk + 2);
-    av = _mm_set1_pd(a0[k + 1]);
-    c00 = MulAdd(c00, av, b0);
-    c01 = MulAdd(c01, av, b1);
-    av = _mm_set1_pd(a1[k + 1]);
-    c10 = MulAdd(c10, av, b0);
-    c11 = MulAdd(c11, av, b1);
-    av = _mm_set1_pd(a2[k + 1]);
-    c20 = MulAdd(c20, av, b0);
-    c21 = MulAdd(c21, av, b1);
-    av = _mm_set1_pd(a3[k + 1]);
-    c30 = MulAdd(c30, av, b0);
-    c31 = MulAdd(c31, av, b1);
-    bk += kNr;
-  }
-  for (; k < len; ++k) {
-    const __m128d b0 = _mm_loadu_pd(bk);
-    const __m128d b1 = _mm_loadu_pd(bk + 2);
-    __m128d av = _mm_set1_pd(a0[k]);
-    c00 = MulAdd(c00, av, b0);
-    c01 = MulAdd(c01, av, b1);
-    av = _mm_set1_pd(a1[k]);
-    c10 = MulAdd(c10, av, b0);
-    c11 = MulAdd(c11, av, b1);
-    av = _mm_set1_pd(a2[k]);
-    c20 = MulAdd(c20, av, b0);
-    c21 = MulAdd(c21, av, b1);
-    av = _mm_set1_pd(a3[k]);
-    c30 = MulAdd(c30, av, b0);
-    c31 = MulAdd(c31, av, b1);
-    bk += kNr;
-  }
-  double* o0 = c->Row(i0) + j0;
-  double* o1 = c->Row(i0 + 1) + j0;
-  double* o2 = c->Row(i0 + 2) + j0;
-  double* o3 = c->Row(i0 + 3) + j0;
-  _mm_storeu_pd(o0, c00);
-  _mm_storeu_pd(o0 + 2, c01);
-  _mm_storeu_pd(o1, c10);
-  _mm_storeu_pd(o1 + 2, c11);
-  _mm_storeu_pd(o2, c20);
-  _mm_storeu_pd(o2 + 2, c21);
-  _mm_storeu_pd(o3, c30);
-  _mm_storeu_pd(o3 + 2, c31);
-}
 #else
 inline void MatMulTileFull(const Matrix& a, const Matrix& b, Matrix* c,
                            int i0, int j0, int k0, int k1, bool first) {
@@ -425,7 +325,7 @@ inline void MatMulTileFull(const Matrix& a, const Matrix& b, Matrix* c,
     for (int n = 0; n < kNr; ++n) crow[n] = acc[r][n];
   }
 }
-#endif  // defined(__SSE2__)
+#endif  // defined(__AVX__)
 
 // Edge tile with runtime mr x nr bounds (same per-element chains).
 inline void MatMulTileEdge(const Matrix& a, const Matrix& b, Matrix* c,
@@ -501,51 +401,9 @@ inline void SyrkTileFull(const Matrix& a, int r0, int r1, Matrix* g, int i0,
   _mm256_storeu_pd(o3, c30);
   _mm256_storeu_pd(o3 + 4, c31);
 }
-#elif defined(__SSE2__)
-inline void SyrkTileFull(const Matrix& a, int r0, int r1, Matrix* g, int i0,
-                         int j0) {
-  double* o0 = g->Row(i0) + j0;
-  double* o1 = g->Row(i0 + 1) + j0;
-  double* o2 = g->Row(i0 + 2) + j0;
-  double* o3 = g->Row(i0 + 3) + j0;
-  __m128d c00 = _mm_loadu_pd(o0);
-  __m128d c01 = _mm_loadu_pd(o0 + 2);
-  __m128d c10 = _mm_loadu_pd(o1);
-  __m128d c11 = _mm_loadu_pd(o1 + 2);
-  __m128d c20 = _mm_loadu_pd(o2);
-  __m128d c21 = _mm_loadu_pd(o2 + 2);
-  __m128d c30 = _mm_loadu_pd(o3);
-  __m128d c31 = _mm_loadu_pd(o3 + 2);
-  for (int r = r0; r < r1; ++r) {
-    const double* ar = a.Row(r);
-    const __m128d b0 = _mm_loadu_pd(ar + j0);
-    const __m128d b1 = _mm_loadu_pd(ar + j0 + 2);
-    const double* ai = ar + i0;
-    __m128d av = _mm_set1_pd(ai[0]);
-    c00 = MulAdd(c00, av, b0);
-    c01 = MulAdd(c01, av, b1);
-    av = _mm_set1_pd(ai[1]);
-    c10 = MulAdd(c10, av, b0);
-    c11 = MulAdd(c11, av, b1);
-    av = _mm_set1_pd(ai[2]);
-    c20 = MulAdd(c20, av, b0);
-    c21 = MulAdd(c21, av, b1);
-    av = _mm_set1_pd(ai[3]);
-    c30 = MulAdd(c30, av, b0);
-    c31 = MulAdd(c31, av, b1);
-  }
-  _mm_storeu_pd(o0, c00);
-  _mm_storeu_pd(o0 + 2, c01);
-  _mm_storeu_pd(o1, c10);
-  _mm_storeu_pd(o1 + 2, c11);
-  _mm_storeu_pd(o2, c20);
-  _mm_storeu_pd(o2 + 2, c21);
-  _mm_storeu_pd(o3, c30);
-  _mm_storeu_pd(o3 + 2, c31);
-}
-#endif  // defined(__SSE2__)
+#endif  // defined(__AVX__)
 
-// Runtime-bounded SYRK tile; also the interior fallback without SSE2.
+// Runtime-bounded SYRK tile; also the interior fallback without AVX.
 inline void SyrkTile(const Matrix& a, int r0, int r1, Matrix* g, int i0,
                      int mr, int j0, int nr) {
   double acc[kMr][kNr];
@@ -624,57 +482,9 @@ inline void GramTileFull(const Matrix& a, Matrix* g, int i0, int j0) {
   _mm256_storeu_pd(o3, c30);
   _mm256_storeu_pd(o3 + 4, c31);
 }
-#elif defined(__SSE2__)
-inline void GramTileFull(const Matrix& a, Matrix* g, int i0, int j0) {
-  const int d = a.cols();
-  const double* ai0 = a.Row(i0);
-  const double* ai1 = a.Row(i0 + 1);
-  const double* ai2 = a.Row(i0 + 2);
-  const double* ai3 = a.Row(i0 + 3);
-  const double* aj0 = a.Row(j0);
-  const double* aj1 = a.Row(j0 + 1);
-  const double* aj2 = a.Row(j0 + 2);
-  const double* aj3 = a.Row(j0 + 3);
-  __m128d c00 = _mm_setzero_pd();
-  __m128d c01 = _mm_setzero_pd();
-  __m128d c10 = _mm_setzero_pd();
-  __m128d c11 = _mm_setzero_pd();
-  __m128d c20 = _mm_setzero_pd();
-  __m128d c21 = _mm_setzero_pd();
-  __m128d c30 = _mm_setzero_pd();
-  __m128d c31 = _mm_setzero_pd();
-  for (int k = 0; k < d; ++k) {
-    const __m128d b0 = _mm_set_pd(aj1[k], aj0[k]);
-    const __m128d b1 = _mm_set_pd(aj3[k], aj2[k]);
-    __m128d av = _mm_set1_pd(ai0[k]);
-    c00 = MulAdd(c00, av, b0);
-    c01 = MulAdd(c01, av, b1);
-    av = _mm_set1_pd(ai1[k]);
-    c10 = MulAdd(c10, av, b0);
-    c11 = MulAdd(c11, av, b1);
-    av = _mm_set1_pd(ai2[k]);
-    c20 = MulAdd(c20, av, b0);
-    c21 = MulAdd(c21, av, b1);
-    av = _mm_set1_pd(ai3[k]);
-    c30 = MulAdd(c30, av, b0);
-    c31 = MulAdd(c31, av, b1);
-  }
-  double* o0 = g->Row(i0) + j0;
-  double* o1 = g->Row(i0 + 1) + j0;
-  double* o2 = g->Row(i0 + 2) + j0;
-  double* o3 = g->Row(i0 + 3) + j0;
-  _mm_storeu_pd(o0, c00);
-  _mm_storeu_pd(o0 + 2, c01);
-  _mm_storeu_pd(o1, c10);
-  _mm_storeu_pd(o1 + 2, c11);
-  _mm_storeu_pd(o2, c20);
-  _mm_storeu_pd(o2 + 2, c21);
-  _mm_storeu_pd(o3, c30);
-  _mm_storeu_pd(o3 + 2, c31);
-}
-#endif  // defined(__SSE2__)
+#endif  // defined(__AVX__)
 
-// Runtime-bounded Gram tile; also the interior fallback without SSE2.
+// Runtime-bounded Gram tile; also the interior fallback without AVX.
 inline void GramTile(const Matrix& a, Matrix* g, int i0, int mr, int j0,
                      int nr) {
   const int d = a.cols();
@@ -723,7 +533,7 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   DSWM_OBS_COUNT("linalg.matmul.flops", 2 * mul_adds);
   const bool parallel = UsePool(pool, mul_adds);
 
-#if defined(__SSE2__)
+#if defined(__AVX__)
   // Pack the full-width panels of B into panel-major layout (kNr doubles
   // per k, k ascending, panels consecutive): an exact element copy that
   // turns the hot loop's strided B walk into sequential loads. The ragged
@@ -750,7 +560,7 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   for (int k0 = 0; k0 < kk; k0 += kKc) {
     const int k1 = std::min(kk, k0 + kKc);
     const bool first = k0 == 0;
-#if defined(__SSE2__)
+#if defined(__AVX__)
     const double* pk = packed.data();
     const auto run = [&a, &b, &c, pk, kk, m, p, k0, k1, first](int t0,
                                                               int t1) {
@@ -832,7 +642,7 @@ Matrix GramTransposePrefix(const Matrix& a, int rows) {
         const int mr = std::min(kMr, d - i0);
         for (int j0 = (i0 / kNr) * kNr; j0 < d; j0 += kNr) {
           const int nr = std::min(kNr, d - j0);
-#if defined(__SSE2__)
+#if defined(__AVX__)
           if (mr == kMr && nr == kNr) {
             SyrkTileFull(a, r0, r1, &g, i0, j0);
             continue;
@@ -879,7 +689,7 @@ Matrix GramPrefix(const Matrix& a, int rows) {
       const int mr = std::min(kMr, rows - i0);
       for (int j0 = (i0 / kNr) * kNr; j0 < rows; j0 += kNr) {
         const int nr = std::min(kNr, rows - j0);
-#if defined(__SSE2__)
+#if defined(__AVX__)
         if (mr == kMr && nr == kNr) {
           GramTileFull(a, &g, i0, j0);
           continue;

@@ -9,7 +9,6 @@
 #ifndef DSWM_MONITOR_DRIVER_H_
 #define DSWM_MONITOR_DRIVER_H_
 
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -32,9 +31,6 @@ struct DriverOptions {
   double warmup_fraction = 0.25;
   /// Seed for site assignment and query-point selection.
   uint64_t seed = 1234;
-  /// When non-empty, the merged message-ledger trace of every channel the
-  /// tracker owns is written here as JSONL (one transmission per line).
-  std::string trace_jsonl;
   /// When non-null, the tracker's estimate is published into this store at
   /// every window-advance boundary (the first row of each window period)
   /// plus once at the end of the run. Publication points depend only on
@@ -79,8 +75,6 @@ struct RunResult {
   /// Transmissions recorded across the tracker's channels (>= messages:
   /// drops, duplicates, and retransmissions each record an entry).
   long wire_transmissions = 0;
-  /// Outcome of the trace_jsonl dump (OK when disabled).
-  Status trace_status = Status::OK();
   /// Observability snapshot scoped to this run (empty unless metrics are
   /// enabled, obs::SetEnabled(true)): per-phase spans, subsystem counters,
   /// and ledger-derived comm/space gauges in one document.

@@ -12,7 +12,6 @@
 //   assemble -- fold errors, ledgers and wire accounting into RunResult.
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,17 +43,6 @@ double EvalError(const Matrix& cov_exact, const CovarianceEstimate& estimate,
              ? CovarianceErrorOfSketch(cov_exact, estimate.Rows(), fnorm2)
              : CovarianceErrorOfCovariance(cov_exact, estimate.Covariance(),
                                            fnorm2);
-}
-
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot open trace file: " + path);
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    return Status::IoError("short write to trace file: " + path);
-  }
-  return Status::OK();
 }
 
 Status ValidateRun(const DistributedTracker* tracker,
@@ -207,18 +195,12 @@ StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
   result.broadcasts = comm.broadcasts;
   result.rows_sent = comm.rows_sent;
 
-  // Wire-level accounting and (optionally) the merged transmission trace,
-  // aggregated over every channel the tracker owns.
-  std::string trace_text;
+  // Wire-level accounting, aggregated over every channel the tracker owns.
   for (net::Channel* c : tracker->Channels()) {
     result.wire_payload_bytes += c->ledger().TotalPayloadBytes();
     result.wire_frame_bytes += c->ledger().TotalFrameBytes();
     result.wire_transmissions +=
         static_cast<long>(c->ledger().entries().size());
-    if (!options.trace_jsonl.empty()) c->ledger().AppendJsonl(&trace_text);
-  }
-  if (!options.trace_jsonl.empty()) {
-    result.trace_status = WriteTextFile(options.trace_jsonl, trace_text);
   }
 
   const Timestamp span = rows.back().timestamp - rows.front().timestamp + 1;

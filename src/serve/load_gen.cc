@@ -55,9 +55,6 @@ Status LoadGenOptions::Validate() const {
   if (min_queries_per_reader < 0) {
     return Status::InvalidArgument("min_queries_per_reader must be >= 0");
   }
-  if (pca_components < 1) {
-    return Status::InvalidArgument("pca_components must be >= 1");
-  }
   return Status::OK();
 }
 
@@ -84,7 +81,6 @@ StatusOr<LoadGenReport> RunServingLoad(const LoadGenOptions& options) {
   bool feed_done = false;        // guarded by gate_mu
 
   SnapshotStore::Options store_options;
-  store_options.pca_components = options.pca_components;
   store_options.on_publish = [&](const Snapshot&) {
     MutexLock lock(gate_mu);
     if (!first_published) {
@@ -228,9 +224,7 @@ Status RunDeterministicPass(const LoadGenOptions& options,
   auto tracker = MakeTracker(options.algorithm, config);
   DSWM_RETURN_NOT_OK(tracker.status());
 
-  SnapshotStore::Options store_options;
-  store_options.pca_components = options.pca_components;
-  SnapshotStore store(store_options);
+  SnapshotStore store;
   DriverOptions driver_options;
   driver_options.query_points = 0;
   driver_options.seed = options.seed;

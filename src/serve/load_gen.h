@@ -40,8 +40,6 @@ struct LoadGenOptions {
   /// issued at least this many queries, so short feeds still produce a
   /// meaningful sample.
   long min_queries_per_reader = 200;
-  /// PCA components memoized per published version.
-  int pca_components = 8;
 
   [[nodiscard]] Status Validate() const;
 };

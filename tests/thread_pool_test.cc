@@ -8,7 +8,7 @@
 #include <atomic>
 #include <mutex>
 #include <set>
-#include <thread>  // dswm-semlint: allow(raw-thread-outside-common)
+#include <thread>
 #include <utility>
 #include <vector>
 

@@ -16,6 +16,7 @@
 #include "core/tracker_factory.h"
 #include "linalg/matrix_io.h"
 #include "monitor/driver.h"
+#include "net/channel.h"
 #include "obs/metrics.h"
 #include "serve/load_gen.h"
 #include "stream/csv_loader.h"
@@ -165,7 +166,7 @@ int CmdRun(const FlagSet& flags) {
   DriverOptions options;
   options.query_points = static_cast<int>(flags.GetInt("queries", 50));
   options.seed = seed + 99;
-  options.trace_jsonl = flags.GetString("trace-jsonl", "");
+  const std::string trace_path = flags.GetString("trace-jsonl", "");
   const Status options_status = options.Validate();
   if (!options_status.ok()) return Fail(options_status);
 
@@ -176,7 +177,16 @@ int CmdRun(const FlagSet& flags) {
       tracker.value().get(), rows, config.num_sites, config.window, options);
   if (!run.ok()) return Fail(run.status());
   const RunResult& r = run.value();
-  if (!r.trace_status.ok()) return Fail(r.trace_status);
+  if (!trace_path.empty()) {
+    // The merged message-ledger trace of every channel the tracker owns,
+    // one transmission per line.
+    std::string trace_text;
+    for (net::Channel* c : tracker.value()->Channels()) {
+      c->ledger().AppendJsonl(&trace_text);
+    }
+    const Status st = WriteTextFile(trace_path, trace_text);
+    if (!st.ok()) return Fail(st);
+  }
 
   std::printf("algorithm        : %s\n", AlgorithmName(algorithm.value()));
   std::printf("rows x dim       : %d x %d\n", r.rows, config.dim);
@@ -193,8 +203,8 @@ int CmdRun(const FlagSet& flags) {
   std::printf("update rate      : %.0f rows/s\n", r.update_rows_per_sec);
   std::printf("wire bytes       : %ld payload (%ld framed, %ld sends)\n",
               r.wire_payload_bytes, r.wire_frame_bytes, r.wire_transmissions);
-  if (!options.trace_jsonl.empty()) {
-    std::printf("trace written to : %s\n", options.trace_jsonl.c_str());
+  if (!trace_path.empty()) {
+    std::printf("trace written to : %s\n", trace_path.c_str());
   }
 
   // Machine-readable summary for bench baselines: bytes are exact under

@@ -76,6 +76,13 @@ lambdas, cast-to-void), class-body structure and a tree-wide symbol table.
           outside src/serve/: sealing is the serving tier's publish-time
           step, and a stray seal elsewhere would hide a mutation of what
           readers take for an immutable snapshot.
+  R14 unused-allow
+          Every `// dswm-semlint: allow(<rule>)` marker suppresses a
+          finding of that rule on its own line. A marker that suppresses
+          nothing (the rule does not apply in that directory, the line is
+          a preprocessor directive, or the name is not a rule) is
+          reported, so stale markers cannot pile up. This rule has no
+          marker of its own.
 
 Every rule has a violating and a clean fixture under
 tests/semlint_fixtures/<rule>/ (tools/dswm_semlint_test.py). The only way
@@ -100,7 +107,7 @@ RULES = ("rng-outside-common", "no-exceptions", "header-guard",
          "float-eq-in-tests", "raw-thread-outside-common", "comm-outside-net",
          "raw-timing-outside-obs", "discarded-status", "unordered-iteration",
          "mutex-without-capability", "cast-confinement",
-         "socket-confinement", "snapshot-immutability")
+         "socket-confinement", "snapshot-immutability", "unused-allow")
 
 RNG_ALLOWED = {pathlib.PurePosixPath("src/common/rng.h")}
 TIMING_ALLOWED_PREFIXES = (("src", "common"), ("src", "obs"))
@@ -304,10 +311,13 @@ class FileUnit:
         self.toks, self.directives = tokenize(text)
         self.pairs = match_brackets(self.toks)
         self.allowed = allow_map(text)
+        self.used_allows = set()  # (line, rule) markers that suppressed
 
     def emit(self, rep, line_no, rule, msg):
         assert rule in RULES, rule
-        if rule not in self.allowed.get(line_no, set()):
+        if rule in self.allowed.get(line_no, set()):
+            self.used_allows.add((line_no, rule))
+        else:
             rep.report(self.rel, line_no, rule, msg)
 
 
@@ -931,6 +941,19 @@ def check_socket_confinement(u, rep):
 
 
 # ---------------------------------------------------------------------------
+# R14: allow markers (runs after every other rule on the unit)
+# ---------------------------------------------------------------------------
+
+def check_unused_allow(u, rep):
+    for line_no, rules in sorted(u.allowed.items()):
+        for rule in sorted(rules):
+            if (line_no, rule) not in u.used_allows:
+                rep.report(u.rel, line_no, "unused-allow",
+                           f"'allow({rule})' suppresses no finding on this "
+                           "line; delete the marker")
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -984,6 +1007,7 @@ def main():
         check_cast_confinement(u, rep)
         check_socket_confinement(u, rep)
         check_snapshot_immutability(u, rep)
+        check_unused_allow(u, rep)
 
     if rep.count:
         print(f"dswm_semlint: {rep.count} violation(s) in {len(units)} files")

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # One-command correctness gate for the dswm repo.
 #
-# Builds and tests up to five trees:
+# Builds and tests up to six trees:
 #   build-release/       Release, -Werror        (the shipping configuration)
+#   build-portable/      Release, -Werror, DSWM_AVX=OFF (the scalar
+#                                                 linalg tiles; its saved
+#                                                 sketches must match
+#                                                 build-release's bytes)
 #   build-asan/          ASan+UBSan, -Werror, DCHECKs (the tripwired tree)
 #   build-tsan/          TSan, -Werror, DCHECKs  (thread-pool + threaded
 #                                                 kernel tests only)
@@ -12,7 +16,7 @@
 #   build-fuzz/          DSWM_FUZZ=ON + ASan+UBSan: corpus-replay ctests
 #                        plus a bounded mutation smoke of both harnesses
 # then smoke-tests the benchmark JSON emitter, runs the repo linter
-# (tools/dswm_semlint.py, every rule R1-R13) and its fixture selftest and,
+# (tools/dswm_semlint.py, every rule R1-R14) and its fixture selftest and,
 # when the binaries exist on PATH, a clang-format --dry-run check and
 # clang-tidy -- enforced (warnings-as-errors) on src/obs and src/net,
 # budgeted elsewhere (tools/tidy_budget.txt, a ratchet that may only
@@ -69,6 +73,25 @@ build_and_test() {
 
 if [[ "${SKIP_RELEASE}" -eq 0 ]]; then
   build_and_test build-release "" -DCMAKE_BUILD_TYPE=Release
+  build_and_test build-portable "" -DCMAKE_BUILD_TYPE=Release -DDSWM_AVX=OFF
+
+  # The bit-identity contract (DESIGN.md section 8) across kernel tiers:
+  # the same run saves the same sketch bytes from the AVX tiles of
+  # build-release and the portable scalar tiles of build-portable.
+  log "sketch bytes: build-release (AVX) vs build-portable"
+  XTREE_TMP="$(mktemp -d "${TMPDIR:-/tmp}/dswm_xtree.XXXXXX")"
+  for RUN in synthetic:DA1 synthetic:DA2 pamap:CENTRAL pamap:DA2 wiki:PWOR; do
+    for TREE in build-release build-portable; do
+      "${ROOT}/${TREE}/tools/dswm_cli" run --dataset "${RUN%%:*}" \
+        --algorithm "${RUN##*:}" --epsilon 0.1 --sites 8 --rows 6000 \
+        --seed 3 --queries 10 \
+        --save-sketch "${XTREE_TMP}/${RUN/:/_}.${TREE}.mat" >/dev/null
+    done
+    cmp "${XTREE_TMP}/${RUN/:/_}.build-release.mat" \
+      "${XTREE_TMP}/${RUN/:/_}.build-portable.mat"
+    echo "${RUN} sketch bytes identical"
+  done
+  rm -rf "${XTREE_TMP}"
 fi
 
 if [[ "${SKIP_ASAN}" -eq 0 ]]; then
