@@ -14,7 +14,7 @@
 //     kernel results are bit-identical to single-threaded ones.
 //
 // The global pool is sized by DSWM_THREADS (env) or SetGlobalThreads()
-// (the --threads CLI knob) and defaults to single-threaded.
+// (a programmatic override) and defaults to single-threaded.
 //
 // Concurrency contract (machine-checked under clang -Wthread-safety):
 // mu_ guards the queue, the in-flight count, and the stop flag; workers
@@ -64,7 +64,7 @@ class ThreadPool {
   /// DSWM_THREADS environment variable; defaults to 1 (inline execution).
   [[nodiscard]] static ThreadPool* Global();
 
-  /// Resizes the global pool (the --threads knob). Must not be called
+  /// Resizes the global pool (overrides DSWM_THREADS). Must not be called
   /// while work is in flight. n < 1 is clamped to 1.
   static void SetGlobalThreads(int n);
 

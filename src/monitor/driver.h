@@ -75,6 +75,14 @@ struct RunResult {
   /// Transmissions recorded across the tracker's channels (>= messages:
   /// drops, duplicates, and retransmissions each record an entry).
   long wire_transmissions = 0;
+  /// FNV-1a (over 64-bit words) of what the tracker produced: at each
+  /// query point the row's timestamp, the estimate's native form and its
+  /// matrix (shape and bytes), MaxSiteSpaceWords() and
+  /// Comm().TotalWords(); then every ledger entry of every channel, all
+  /// fields, in order. Errors, wall time and metrics are not folded, so
+  /// the digest is the same with metrics on or off and at any thread
+  /// count (DESIGN.md section 8). 0 for an empty stream.
+  uint64_t digest = 0;
   /// Observability snapshot scoped to this run (empty unless metrics are
   /// enabled, obs::SetEnabled(true)): per-phase spans, subsystem counters,
   /// and ledger-derived comm/space gauges in one document.
@@ -95,11 +103,11 @@ struct RunResult {
 /// dimension differs from tracker->Dim() all return InvalidArgument
 /// without feeding the tracker.
 ///
-/// When the global ThreadPool has more than one thread (--threads /
-/// DSWM_THREADS), the query-point error evaluations run in parallel as
-/// one batch after the replay, on snapshots of the exact and approximate
-/// state. Results are folded in query order, so every reported metric is
-/// identical to the single-threaded run; only wall-clock changes.
+/// When the global ThreadPool has more than one thread (DSWM_THREADS), the
+/// query-point error evaluations run in parallel as one batch after the
+/// replay, on snapshots of the exact and approximate state. Results are
+/// folded in query order, so every reported metric is identical to the
+/// single-threaded run; only wall-clock changes.
 [[nodiscard]] StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
                                              const std::vector<TimedRow>& rows,
                                              int num_sites, Timestamp window,

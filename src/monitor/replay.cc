@@ -10,8 +10,13 @@
 //               boundaries, and a state snapshot at query points;
 //   evaluate -- score every query-point snapshot in one batch;
 //   assemble -- fold errors, ledgers and wire accounting into RunResult.
+//
+// Steps and assemble also fold the run digest (RunResult::digest) from
+// what the tracker produced, with no tracker call of its own.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "linalg/batched.h"
 #include "monitor/driver.h"
 #include "net/channel.h"
+#include "net/ledger.h"
 #include "obs/span.h"
 #include "serve/snapshot_store.h"
 #include "sketch/covariance.h"
@@ -28,6 +34,38 @@
 namespace dswm {
 
 namespace {
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Fold(uint64_t word) { h_ = (h_ ^ word) * 1099511628211ULL; }
+  void Fold(const Matrix& m) {
+    Fold(static_cast<uint64_t>(m.rows()));
+    Fold(static_cast<uint64_t>(m.cols()));
+    const size_t size =
+        static_cast<size_t>(m.rows()) * static_cast<size_t>(m.cols());
+    for (size_t i = 0; i < size; ++i) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, m.data() + i, sizeof(bits));
+      Fold(bits);
+    }
+  }
+  void Fold(const net::LedgerEntry& e) {
+    for (const uint64_t word :
+         {e.sequence, uint64_t{static_cast<uint8_t>(e.kind)},
+          uint64_t{static_cast<uint8_t>(e.dir)},
+          static_cast<uint64_t>(static_cast<int64_t>(e.site)),
+          static_cast<uint64_t>(e.time), uint64_t{e.payload_words},
+          uint64_t{e.frame_bytes}, uint64_t{e.copies}, uint64_t{e.dropped},
+          uint64_t{e.retransmit}, uint64_t{e.duplicate}}) {
+      Fold(word);
+    }
+  }
+  [[nodiscard]] uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ULL;
+};
 
 struct EvalJob {
   Matrix cov;
@@ -117,6 +155,7 @@ StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
   // only collects the snapshots and nothing is in flight if a step fails.
   ExactWindow exact(tracker->Dim(), window);
   std::vector<EvalJob> jobs;
+  Digest digest;
   double tracker_seconds = 0.0;
   long published_window = -1;
   const auto publish = [&](Timestamp at) -> Status {
@@ -149,11 +188,19 @@ StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
       obs::Span span("driver.query");
       CovarianceEstimate estimate = tracker->Query();
       const long site_space = tracker->MaxSiteSpaceWords();
+      const long words = tracker->Comm().TotalWords();
       result.max_site_space_words =
           std::max(result.max_site_space_words, site_space);
-      result.trace.push_back(TraceEntry{row.timestamp, 0.0,
-                                        tracker->Comm().TotalWords(),
-                                        site_space});
+      result.trace.push_back(
+          TraceEntry{row.timestamp, 0.0, words, site_space});
+      // The native view only: folding a converted one would pay the
+      // conversion and hash a derived matrix.
+      digest.Fold(static_cast<uint64_t>(row.timestamp));
+      digest.Fold(uint64_t{estimate.NativeIsRows()});
+      digest.Fold(estimate.NativeIsRows() ? estimate.Rows()
+                                          : estimate.Covariance());
+      digest.Fold(static_cast<uint64_t>(site_space));
+      digest.Fold(static_cast<uint64_t>(words));
       jobs.push_back(EvalJob{exact.Covariance(), exact.FrobeniusSquared(),
                              std::move(estimate)});
     }
@@ -201,7 +248,9 @@ StatusOr<RunResult> RunTracker(DistributedTracker* tracker,
     result.wire_frame_bytes += c->ledger().TotalFrameBytes();
     result.wire_transmissions +=
         static_cast<long>(c->ledger().entries().size());
+    for (const net::LedgerEntry& e : c->ledger().entries()) digest.Fold(e);
   }
+  result.digest = digest.value();
 
   const Timestamp span = rows.back().timestamp - rows.front().timestamp + 1;
   result.windows_spanned =

@@ -1,11 +1,9 @@
-#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 
 namespace dswm {
 namespace {
@@ -100,15 +98,6 @@ Status Propagating() {
 
 TEST(Status, ReturnNotOkMacroPropagates) {
   EXPECT_EQ(Propagating().code(), StatusCode::kIoError);
-}
-
-// Stopwatch's own behavior test -- the one place outside src/common/ and
-// src/obs/ that may touch the raw timer.
-TEST(Stopwatch, MeasuresElapsedTime) {  // dswm-semlint: allow(raw-timing-outside-obs)
-  Stopwatch sw;  // dswm-semlint: allow(raw-timing-outside-obs)
-  volatile double x = 0.0;
-  for (int i = 0; i < 100000; ++i) x = x + std::sqrt(i * 1.0);
-  EXPECT_GE(sw.ElapsedSeconds(), 0.0);
 }
 
 }  // namespace

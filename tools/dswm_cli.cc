@@ -6,13 +6,14 @@
 // RunTracker (monitor/driver.h); --net-delay frames land inside the
 // tracker calls that reach their due tick.
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "core/tracker_factory.h"
 #include "linalg/matrix_io.h"
 #include "monitor/driver.h"
@@ -31,13 +32,12 @@ using namespace dswm;
 constexpr char kUsage[] = R"(usage:
   dswm_cli run --dataset synthetic|pamap|wiki --algorithm DA2
            --epsilon 0.05 --sites 20 [--rows N] [--window W] [--seed S]
-           [--queries Q] [--ell L] [--save-sketch out.mat] [--threads T]
+           [--queries Q] [--ell L] [--save-sketch out.mat]
   dswm_cli run --csv data.csv [--timestamp-col 0] --algorithm PWOR ...
   dswm_cli run ... --trace 1           # per-query-point error series
   dswm_cli run ... --trace-jsonl t.jsonl   # full message-ledger dump
   dswm_cli run ... --net-drop 0.01 --net-seed 7 [--net-dup P]
            [--net-delay D] [--net-reliable 1 --net-retry R]
-  dswm_cli run ... --net-json 1        # wire/ledger metrics as JSON line
   dswm_cli run ... --metrics-json -    # obs snapshot (spans + counters +
            comm gauges) as one JSON document to stdout, or to a file path
   dswm_cli sweep --dataset pamap --algorithms PWOR,DA2
@@ -50,12 +50,70 @@ constexpr char kUsage[] = R"(usage:
   dswm_cli datasets [--rows N]
   dswm_cli algorithms                     # names --algorithm accepts
   dswm_cli --help | -h | help             # this text
+Every run prints its digest, an FNV-1a of the estimates at the query
+points and of the message ledger: equal digests, equal outputs. Set
+DSWM_THREADS=T to evaluate the query points on T threads.
 )";
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
+
+// The one reader of numeric flag text. The whole text must parse: empty
+// text, trailing junk, a value outside long's range and a non-finite
+// double are each an InvalidArgument naming the flag. The first error is
+// kept and later reads return their fallback, so a command reads all its
+// numeric flags, then checks status() once before it does any work.
+class NumberReader {
+ public:
+  explicit NumberReader(const FlagSet& flags) : flags_(flags) {}
+
+  long Int(const std::string& name, long fallback) {
+    return Flag(name, fallback);
+  }
+  double Real(const std::string& name, double fallback) {
+    return Flag(name, fallback);
+  }
+
+  /// Parses `text`; `what` names it in the error ("--epsilons entry").
+  template <typename T>
+  T Parse(const std::string& what, const std::string& text, T fallback) {
+    static_assert(std::is_same_v<T, long> || std::is_same_v<T, double>);
+    char* end = nullptr;
+    errno = 0;
+    T value{};
+    if constexpr (std::is_same_v<T, long>) {
+      value = std::strtol(text.c_str(), &end, 10);
+    } else {
+      value = std::strtod(text.c_str(), &end);
+    }
+    const bool whole = !text.empty() && end == text.c_str() + text.size();
+    const bool in_range = std::is_same_v<T, long>
+                              ? errno != ERANGE
+                              : std::isfinite(static_cast<double>(value));
+    if (whole && in_range) return value;
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument(
+          what + " '" + text + "' is not a " +
+          (std::is_same_v<T, long> ? "whole number in long's range"
+                                   : "finite number"));
+    }
+    return fallback;
+  }
+
+  [[nodiscard]] const Status& status() const { return status_; }
+
+ private:
+  template <typename T>
+  T Flag(const std::string& name, T fallback) {
+    if (!flags_.Has(name)) return fallback;
+    return Parse("--" + name, flags_.GetString(name, ""), fallback);
+  }
+
+  const FlagSet& flags_;
+  Status status_;
+};
 
 Status WriteTextFile(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -98,13 +156,17 @@ StatusOr<std::vector<TimedRow>> BuildDataset(const std::string& name,
 
 int CmdAlgorithms() {
   std::printf("available algorithms:\n");
-  for (Algorithm a : PaperAlgorithms()) std::printf("  %s\n", AlgorithmName(a));
-  std::printf("  PWR\n  ESWR\n  CENTRAL\n");
+  for (int a = static_cast<int>(Algorithm::kPwor);
+       a <= static_cast<int>(Algorithm::kCentral); ++a) {
+    std::printf("  %s\n", AlgorithmName(static_cast<Algorithm>(a)));
+  }
   return 0;
 }
 
 int CmdDatasets(const FlagSet& flags) {
-  const int rows = static_cast<int>(flags.GetInt("rows", 0));
+  NumberReader num(flags);
+  const int rows = static_cast<int>(num.Int("rows", 0));
+  if (!num.status().ok()) return Fail(num.status());
   std::printf("%-10s %10s %6s %10s %12s\n", "dataset", "rows", "d", "span",
               "ratio R");
   for (const char* name : {"pamap", "synthetic", "wiki"}) {
@@ -126,46 +188,51 @@ int CmdRun(const FlagSet& flags) {
   auto algorithm = ParseAlgorithm(algorithm_name);
   if (!algorithm.ok()) return Fail(algorithm.status());
 
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  NumberReader num(flags);
+  const uint64_t seed = static_cast<uint64_t>(num.Int("seed", 1));
+  const int timestamp_col = static_cast<int>(num.Int("timestamp-col", -1));
+  const int dataset_rows = static_cast<int>(num.Int("rows", 0));
+  const Timestamp window = num.Int("window", 0);
+  TrackerConfig config;
+  config.num_sites = static_cast<int>(num.Int("sites", 20));
+  config.epsilon = num.Real("epsilon", 0.05);
+  config.seed = seed;
+  config.ell_override = static_cast<int>(num.Int("ell", 0));
+  config.net.drop = num.Real("net-drop", 0.0);
+  config.net.duplicate = num.Real("net-dup", 0.0);
+  config.net.delay_max = num.Int("net-delay", 0);
+  config.net.seed = static_cast<uint64_t>(num.Int("net-seed", 0));
+  config.net.reliable = num.Int("net-reliable", 0) != 0;
+  config.net.retry = std::max<Timestamp>(1, num.Int("net-retry", 1));
+  DriverOptions options;
+  options.query_points = static_cast<int>(num.Int("queries", 50));
+  options.seed = seed + 99;
+  if (!num.status().ok()) return Fail(num.status());
+
   std::vector<TimedRow> rows;
   if (flags.Has("csv")) {
-    CsvOptions options;
-    options.timestamp_column =
-        static_cast<int>(flags.GetInt("timestamp-col", -1));
-    auto loaded = LoadCsv(flags.GetString("csv", ""), options);
+    CsvOptions csv_options;
+    csv_options.timestamp_column = timestamp_col;
+    auto loaded = LoadCsv(flags.GetString("csv", ""), csv_options);
     if (!loaded.ok()) return Fail(loaded.status());
     rows = std::move(loaded).value();
   } else {
     auto built = BuildDataset(flags.GetString("dataset", "synthetic"),
-                              static_cast<int>(flags.GetInt("rows", 0)),
-                              seed);
+                              dataset_rows, seed);
     if (!built.ok()) return Fail(built.status());
     rows = std::move(built).value();
   }
   if (rows.empty()) return Fail(Status::InvalidArgument("empty dataset"));
 
-  TrackerConfig config;
   config.dim = static_cast<int>(rows.front().values.size());
-  config.num_sites = static_cast<int>(flags.GetInt("sites", 20));
   const Timestamp span =
       rows.back().timestamp - rows.front().timestamp + 1;
-  config.window = flags.GetInt("window", std::max<Timestamp>(1, span / 4));
-  config.epsilon = flags.GetDouble("epsilon", 0.05);
-  config.seed = seed;
-  config.ell_override = static_cast<int>(flags.GetInt("ell", 0));
-  config.net.drop = flags.GetDouble("net-drop", 0.0);
-  config.net.duplicate = flags.GetDouble("net-dup", 0.0);
-  config.net.delay_max = flags.GetInt("net-delay", 0);
-  config.net.seed = static_cast<uint64_t>(flags.GetInt("net-seed", 0));
-  config.net.reliable = flags.GetInt("net-reliable", 0) != 0;
-  config.net.retry = std::max<Timestamp>(1, flags.GetInt("net-retry", 1));
+  config.window =
+      flags.Has("window") ? window : std::max<Timestamp>(1, span / 4);
 
   auto tracker = MakeTracker(algorithm.value(), config);
   if (!tracker.ok()) return Fail(tracker.status());
 
-  DriverOptions options;
-  options.query_points = static_cast<int>(flags.GetInt("queries", 50));
-  options.seed = seed + 99;
   const std::string trace_path = flags.GetString("trace-jsonl", "");
   const Status options_status = options.Validate();
   if (!options_status.ok()) return Fail(options_status);
@@ -203,23 +270,10 @@ int CmdRun(const FlagSet& flags) {
   std::printf("update rate      : %.0f rows/s\n", r.update_rows_per_sec);
   std::printf("wire bytes       : %ld payload (%ld framed, %ld sends)\n",
               r.wire_payload_bytes, r.wire_frame_bytes, r.wire_transmissions);
+  std::printf("digest           : 0x%016llx\n",
+              static_cast<unsigned long long>(r.digest));
   if (!trace_path.empty()) {
     std::printf("trace written to : %s\n", trace_path.c_str());
-  }
-
-  // Machine-readable summary for bench baselines: bytes are exact under
-  // loopback, so baseline checks can demand zero drift.
-  if (flags.Has("net-json")) {
-    std::printf(
-        "{\"algorithm\":\"%s\",\"total_words\":%ld,"
-        "\"wire_payload_bytes\":%ld,\"wire_frame_bytes\":%ld,"
-        "\"wire_transmissions\":%ld,\"windows_spanned\":%.6f,"
-        "\"payload_bytes_per_window\":%.1f}\n",
-        AlgorithmName(algorithm.value()), r.total_words, r.wire_payload_bytes,
-        r.wire_frame_bytes, r.wire_transmissions, r.windows_spanned,
-        r.windows_spanned > 0
-            ? static_cast<double>(r.wire_payload_bytes) / r.windows_spanned
-            : 0.0);
   }
 
   if (flags.Has("trace")) {
@@ -258,22 +312,25 @@ int CmdServeBench(const FlagSet& flags) {
   auto algorithm = ParseAlgorithm(flags.GetString("algorithm", "DA2"));
   if (!algorithm.ok()) return Fail(algorithm.status());
 
+  NumberReader num(flags);
   serve::LoadGenOptions options;
   options.algorithm = algorithm.value();
-  options.rows = static_cast<int>(flags.GetInt("rows", options.rows));
-  options.dim = static_cast<int>(flags.GetInt("dim", options.dim));
-  options.sites = static_cast<int>(flags.GetInt("sites", options.sites));
-  options.epsilon = flags.GetDouble("epsilon", options.epsilon);
-  options.window = flags.GetInt("window", 0);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 5));
+  options.rows = static_cast<int>(num.Int("rows", options.rows));
+  options.dim = static_cast<int>(num.Int("dim", options.dim));
+  options.sites = static_cast<int>(num.Int("sites", options.sites));
+  options.epsilon = num.Real("epsilon", options.epsilon);
+  options.window = num.Int("window", 0);
+  options.seed = static_cast<uint64_t>(num.Int("seed", 5));
   options.reader_threads =
-      static_cast<int>(flags.GetInt("readers", options.reader_threads));
+      static_cast<int>(num.Int("readers", options.reader_threads));
   options.min_queries_per_reader =
-      flags.GetInt("min-queries", options.min_queries_per_reader);
+      num.Int("min-queries", options.min_queries_per_reader);
+  const bool selfcheck = num.Int("selfcheck", 0) != 0;
+  if (!num.status().ok()) return Fail(num.status());
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
 
-  if (flags.GetInt("selfcheck", 0) != 0) {
+  if (selfcheck) {
     const Status status = serve::VerifyMetricsInvariance(options);
     if (!status.ok()) return Fail(status);
     std::printf("metrics-invariance self-check: ok\n");
@@ -331,28 +388,29 @@ std::vector<std::string> SplitCommas(const std::string& s) {
 int CmdSweep(const FlagSet& flags) {
   // Each entry must be a whole finite number; the tracker config checks
   // the range.
+  NumberReader num(flags);
   std::vector<double> epsilons;
   for (const std::string& entry :
        SplitCommas(flags.GetString("epsilons", "0.2,0.1,0.05"))) {
-    char* end = nullptr;
-    const double eps = std::strtod(entry.c_str(), &end);
-    if (end == entry.c_str() || *end != '\0' || !std::isfinite(eps)) {
-      return Fail(Status::InvalidArgument("--epsilons entry '" + entry +
-                                          "' is not a finite number"));
-    }
-    epsilons.push_back(eps);
+    epsilons.push_back(num.Parse("--epsilons entry", entry, 0.0));
   }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = static_cast<uint64_t>(num.Int("seed", 1));
+  const int dataset_rows = static_cast<int>(num.Int("rows", 0));
+  const int sites = static_cast<int>(num.Int("sites", 20));
+  const Timestamp window_flag = num.Int("window", 0);
+  const int queries = static_cast<int>(num.Int("queries", 25));
+  if (!num.status().ok()) return Fail(num.status());
+
   auto data = BuildDataset(flags.GetString("dataset", "synthetic"),
-                           static_cast<int>(flags.GetInt("rows", 0)), seed);
+                           dataset_rows, seed);
   if (!data.ok()) return Fail(data.status());
   const std::vector<TimedRow>& rows = data.value();
   if (rows.empty()) return Fail(Status::InvalidArgument("empty dataset"));
 
-  const int sites = static_cast<int>(flags.GetInt("sites", 20));
   const Timestamp span = rows.back().timestamp - rows.front().timestamp + 1;
-  const Timestamp window =
-      flags.GetInt("window", std::max<Timestamp>(1, span / 4));
+  const Timestamp window = flags.Has("window")
+                               ? window_flag
+                               : std::max<Timestamp>(1, span / 4);
 
   std::vector<Algorithm> algorithms;
   for (const std::string& name :
@@ -375,7 +433,7 @@ int CmdSweep(const FlagSet& flags) {
       auto tracker = MakeTracker(a, config);
       if (!tracker.ok()) return Fail(tracker.status());
       DriverOptions options;
-      options.query_points = static_cast<int>(flags.GetInt("queries", 25));
+      options.query_points = queries;
       options.seed = seed + 99;
       const Status options_status = options.Validate();
       if (!options_status.ok()) return Fail(options_status);
@@ -409,18 +467,11 @@ int main(int argc, char** argv) {
       "dataset", "csv",     "timestamp-col", "algorithm", "epsilon",
       "sites",   "window",  "rows",          "seed",      "queries",
       "ell",     "save-sketch", "trace",     "algorithms", "epsilons",
-      "threads", "trace-jsonl", "net-drop",  "net-dup",   "net-delay",
-      "net-seed", "net-reliable", "net-retry", "net-json", "metrics-json",
-      "dim", "readers", "min-queries", "selfcheck"};
+      "trace-jsonl", "net-drop",  "net-dup",   "net-delay", "net-seed",
+      "net-reliable", "net-retry", "metrics-json", "dim", "readers",
+      "min-queries", "selfcheck"};
   auto flags = FlagSet::Parse(argc, argv, known);
   if (!flags.ok()) return Fail(flags.status());
-
-  // --threads overrides DSWM_THREADS (both default to 1: deterministic,
-  // bit-identical single-threaded kernels).
-  if (flags.value().Has("threads")) {
-    ThreadPool::SetGlobalThreads(
-        static_cast<int>(flags.value().GetInt("threads", 1)));
-  }
 
   const auto& positional = flags.value().positional();
   const std::string command = positional.empty() ? "run" : positional[0];

@@ -4,9 +4,10 @@
 # Builds and tests up to six trees:
 #   build-release/       Release, -Werror        (the shipping configuration)
 #   build-portable/      Release, -Werror, DSWM_AVX=OFF (the scalar
-#                                                 linalg tiles; its saved
-#                                                 sketches must match
-#                                                 build-release's bytes)
+#                                                 linalg tiles; its ctest
+#                                                 runs the DigestGate cases
+#                                                 against the same committed
+#                                                 digests as build-release)
 #   build-asan/          ASan+UBSan, -Werror, DCHECKs (the tripwired tree)
 #   build-tsan/          TSan, -Werror, DCHECKs  (thread-pool + threaded
 #                                                 kernel tests only)
@@ -15,8 +16,16 @@
 #                        with a notice when no clang++ is on PATH)
 #   build-fuzz/          DSWM_FUZZ=ON + ASan+UBSan: corpus-replay ctests
 #                        plus a bounded mutation smoke of both harnesses
-# then smoke-tests the benchmark JSON emitter, runs the repo linter
-# (tools/dswm_semlint.py, every rule R1-R14) and its fixture selftest and,
+# The ctest of release, portable and asan is tier-1 in full. Its exactness
+# gate is DigestGate (tests/determinism_test.cc): every tracker's run
+# digest -- the estimates at the query points and the message ledger --
+# must equal a committed value with metrics off, metrics on and at 4
+# threads, for the 11 algorithms on all three datasets, fault profiles,
+# the former wire baselines and perfbench's workload shapes.
+#
+# After the trees, it smoke-tests the benchmark JSON emitter, runs the repo
+# linter (tools/dswm_semlint.py, every rule R1-R14) and its fixture
+# selftest and,
 # when the binaries exist on PATH, a clang-format --dry-run check and
 # clang-tidy -- enforced (warnings-as-errors) on src/obs and src/net,
 # budgeted elsewhere (tools/tidy_budget.txt, a ratchet that may only
@@ -74,24 +83,6 @@ build_and_test() {
 if [[ "${SKIP_RELEASE}" -eq 0 ]]; then
   build_and_test build-release "" -DCMAKE_BUILD_TYPE=Release
   build_and_test build-portable "" -DCMAKE_BUILD_TYPE=Release -DDSWM_AVX=OFF
-
-  # The bit-identity contract (DESIGN.md section 8) across kernel tiers:
-  # the same run saves the same sketch bytes from the AVX tiles of
-  # build-release and the portable scalar tiles of build-portable.
-  log "sketch bytes: build-release (AVX) vs build-portable"
-  XTREE_TMP="$(mktemp -d "${TMPDIR:-/tmp}/dswm_xtree.XXXXXX")"
-  for RUN in synthetic:DA1 synthetic:DA2 pamap:CENTRAL pamap:DA2 wiki:PWOR; do
-    for TREE in build-release build-portable; do
-      "${ROOT}/${TREE}/tools/dswm_cli" run --dataset "${RUN%%:*}" \
-        --algorithm "${RUN##*:}" --epsilon 0.1 --sites 8 --rows 6000 \
-        --seed 3 --queries 10 \
-        --save-sketch "${XTREE_TMP}/${RUN/:/_}.${TREE}.mat" >/dev/null
-    done
-    cmp "${XTREE_TMP}/${RUN/:/_}.build-release.mat" \
-      "${XTREE_TMP}/${RUN/:/_}.build-portable.mat"
-    echo "${RUN} sketch bytes identical"
-  done
-  rm -rf "${XTREE_TMP}"
 fi
 
 if [[ "${SKIP_ASAN}" -eq 0 ]]; then
@@ -253,43 +244,8 @@ print(f"metrics overhead OK ({overhead:+.2%}: "
 PY
   rm -f "${OVH_OFF_TMP}" "${OVH_ON_TMP}"
 
-  log "net bench smoke (DA2, DA1, PWOR and CENTRAL wire bytes vs baselines)"
-  # Serialized bytes per window are exact under loopback (deterministic
-  # protocol, deterministic wire format, seeded samplers), so the committed
-  # baselines are checked with zero tolerance: any drift is a wire-format or
-  # protocol change and must be re-baselined deliberately. Each baseline
-  # runs its own _command. DA1's report decisions also hang on its d x d
-  # kernels (power-iteration norm check, eigendecomposition, send cut), so
-  # a kernel change that flips one of them changes its word count. PWOR on
-  # WIKI ships sparse rows, whose support indices only wire_frame_bytes
-  # counts; CENTRAL on PAMAP puts every row on the wire.
-  cmake --build "${ROOT}/build-release" -j "${JOBS}" --target dswm_cli
-  for ALG in da2 da1 pwor central; do
-    BASELINE="bench/BENCH_net_${ALG}_bytes.json"
-    python3 - "${ROOT}" "${BASELINE}" <<'PY'
-import json, shlex, subprocess, sys
-root, baseline = sys.argv[1], sys.argv[2]
-with open(f"{root}/{baseline}") as f:
-    want = json.load(f)
-argv = shlex.split(want["_command"])
-argv[0] = f"{root}/{argv[0]}"
-out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
-got = json.loads([l for l in out.splitlines() if l.startswith("{")][-1])
-for key in ("algorithm", "total_words", "wire_payload_bytes",
-            "wire_frame_bytes", "wire_transmissions",
-            "payload_bytes_per_window"):
-    assert got[key] == want[key], (
-        f"{want['algorithm']} wire baseline drift in '{key}': "
-        f"got {got[key]!r}, baseline {want[key]!r} -- if intentional, "
-        f"regenerate {baseline} with the command in that file")
-print(f"{got['algorithm']} wire baseline OK "
-      f"({got['wire_payload_bytes']} payload bytes, "
-      f"{got['wire_frame_bytes']} frame bytes, "
-      f"{got['payload_bytes_per_window']} per window)")
-PY
-  done
-
   log "IWMT trigger gate (DA2 decompositions per row)"
+  cmake --build "${ROOT}/build-release" -j "${JOBS}" --target dswm_cli
   # DA2's IWMT decomposes its residual only when the Schur-complement
   # certificate cannot show the top eigenvalue is below theta (DESIGN.md
   # item 5). The old mass-bound trigger decomposed about once per row on
