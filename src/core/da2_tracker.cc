@@ -6,6 +6,18 @@
 
 namespace dswm {
 
+namespace {
+
+// The boundary w ticks after b, or the largest Timestamp when that lies
+// past it: a boundary no clock reaches.
+Timestamp BoundaryAfter(Timestamp b, Timestamp w) {
+  return b > std::numeric_limits<Timestamp>::max() - w
+             ? std::numeric_limits<Timestamp>::max()
+             : b + w;
+}
+
+}  // namespace
+
 Da2Tracker::Da2Tracker(const TrackerConfig& config)
     : config_(config),
       eps_threshold_(config.epsilon / 2.0),
@@ -160,20 +172,28 @@ void Da2Tracker::AdvanceTime(Timestamp t) {
     DSWM_CHECK_EQ(t, now_);
     return;
   }
+  const Timestamp w = config_.window;
   if (!initialized_) {
-    // First boundary: the smallest multiple of W that is >= t.
-    const Timestamp w = config_.window;
-    const Timestamp nb = ((t + w - 1) / w) * w;
-    for (SiteState& st : sites_) st.next_boundary = std::max(nb, w);
+    // First boundary: the smallest multiple of W that is >= max(t, W).
+    const Timestamp nb = t <= w ? w : BoundaryAfter((t - 1) / w * w, w);
+    for (SiteState& st : sites_) st.next_boundary = nb;
     initialized_ = true;
   }
   now_ = t;
   channel_->AdvanceTime(t);
   for (int j = 0; j < static_cast<int>(sites_.size()); ++j) {
     SiteState& st = sites_[j];
-    while (st.next_boundary < t) {
+    // No row arrives within one call, so two boundaries leave the site's
+    // mEH, Q and coordinator matrices empty, and every later boundary
+    // before t is a no-op: those are counted and jumped over.
+    for (int k = 0; k < 2 && st.next_boundary < t; ++k) {
       ProcessBoundary(j, &st, st.next_boundary);
-      st.next_boundary += config_.window;
+      st.next_boundary = BoundaryAfter(st.next_boundary, w);
+    }
+    if (st.next_boundary < t) {
+      const Timestamp skipped = (t - 1 - st.next_boundary) / w;
+      boundaries_ += skipped + 1;
+      st.next_boundary = BoundaryAfter(st.next_boundary + skipped * w, w);
     }
     FeedExpired(j, &st, t);
     st.meh.Advance(t);

@@ -54,7 +54,10 @@ class Da2Tracker : public DistributedTracker {
   std::string Name() const override { return "DA2"; }
   int Dim() const override { return config_.dim; }
 
-  /// Window boundaries processed so far (tests).
+  /// Window boundaries crossed so far, including those a far time jump
+  /// counts without processing: after two boundaries with no row between
+  /// them, a site's window state is empty and later boundaries change
+  /// nothing (tests).
   long boundaries_processed() const { return boundaries_; }
 
  private:

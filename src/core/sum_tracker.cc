@@ -47,6 +47,16 @@ Status SumTracker::Observe(int site, double w, Timestamp t) {
                                    std::to_string(site) + " not in [0, " +
                                    std::to_string(sites_.size()) + ")");
   }
+  if (!(w > 0.0 && std::isfinite(w))) {
+    return Status::InvalidArgument(
+        "SumTracker::Observe: weight is not finite and positive");
+  }
+  const Timestamp site_time = sites_[site].histogram.last_time();
+  if (t < site_time) {
+    return Status::InvalidArgument("SumTracker::Observe: time " +
+                                   std::to_string(t) + " < site clock " +
+                                   std::to_string(site_time));
+  }
   channel_->AdvanceTime(t);
   sites_[site].histogram.Insert(w, t);
   CheckSite(site, t);

@@ -38,8 +38,10 @@ class SumTracker {
              std::unique_ptr<net::Channel> channel = nullptr);
 
   /// Weight w (> 0) arrives at `site` at time t (non-decreasing).
-  /// InvalidArgument on an out-of-range site, matching the
-  /// DistributedTracker Observe contract.
+  /// InvalidArgument, with no state change, on an out-of-range site, a
+  /// weight that is not finite and positive, or a time before the site's
+  /// clock (which starts at 0 and advances with Observe and AdvanceTime),
+  /// matching the DistributedTracker Observe contract.
   Status Observe(int site, double w, Timestamp t);
 
   /// Advances the clock; sites re-check their thresholds because expiry

@@ -4,7 +4,6 @@
 #ifndef DSWM_CORE_TRACKER_H_
 #define DSWM_CORE_TRACKER_H_
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,17 +27,18 @@ class Channel;
 /// (tracker_factory.h).
 ///
 /// Misuse is reported, not crashed on: Observe() returns InvalidArgument
-/// for an out-of-range site, a timestamp regression, or a malformed row.
+/// for an out-of-range site, a negative timestamp or a regression, or a
+/// malformed row.
 /// Contract violations *inside* a protocol remain DSWM_CHECKs.
 class DistributedTracker {
  public:
   virtual ~DistributedTracker() = default;
 
   /// Row `row` arrives at site `site` at time row.timestamp. Timestamps
-  /// across calls must be non-decreasing; a decrease, an out-of-range
-  /// site, a row whose length is not Dim(), a non-finite value or an
-  /// out-of-range support index returns InvalidArgument without mutating
-  /// tracker state.
+  /// across calls must be non-negative and non-decreasing; a negative
+  /// time, a decrease, an out-of-range site, a row whose length is not
+  /// Dim(), a non-finite value or an out-of-range support index returns
+  /// InvalidArgument without mutating tracker state.
   [[nodiscard]] virtual Status Observe(int site, const TimedRow& row) = 0;
 
   /// Advances the global clock to `t`: expirations are processed at every
@@ -83,14 +83,15 @@ class DistributedTracker {
  protected:
   /// Shared Observe() precondition check: `site` must be in
   /// [0, num_sites), `row.timestamp` must not precede the last observed
-  /// timestamp, and `row` must hold Dim() finite values with support
-  /// indices in [0, Dim()). The values are read in one pass. On OK the
-  /// timestamp watermark advances; on error no state changes.
+  /// timestamp (nor tick 0, where every site window starts), and `row`
+  /// must hold Dim() finite values with support indices in [0, Dim()).
+  /// The values are read in one pass. On OK the timestamp watermark
+  /// advances; on error no state changes.
   [[nodiscard]] Status ValidateObserve(int site, int num_sites,
                                        const TimedRow& row);
 
  private:
-  Timestamp last_observe_time_ = std::numeric_limits<Timestamp>::min();
+  Timestamp last_observe_time_ = 0;
 };
 
 }  // namespace dswm

@@ -42,26 +42,29 @@ void ExponentialHistogram::ExpireUpTo(Timestamp t_now) {
 
 void ExponentialHistogram::Compress() {
   if (buckets_.size() < 2) return;
-  // One pass oldest -> newest. prefix = mass of buckets strictly older than
-  // the pair under consideration; suffix of the pair = total - prefix -
-  // pair mass.
+  // One pass oldest -> newest with one open destination, compacting in
+  // place: buckets_[dst] is the open destination and src the next bucket
+  // not yet absorbed. prefix = mass of buckets strictly older than the
+  // pair under consideration; suffix of the pair = total - prefix - pair
+  // mass.
   double prefix = 0.0;
-  size_t i = 0;
-  while (i + 1 < buckets_.size()) {
-    const double pair = buckets_[i].sum + buckets_[i + 1].sum;
+  size_t dst = 0;
+  for (size_t src = 1; src < buckets_.size(); ++src) {
+    const double pair = buckets_[dst].sum + buckets_[src].sum;
     const double suffix = total_ - prefix - pair;
     if (pair <= eps_ * suffix) {
       DSWM_OBS_COUNT("window.geh.merges", 1);
-      buckets_[i].sum = pair;
-      buckets_[i].t_newest = buckets_[i + 1].t_newest;
-      buckets_[i].merged = true;
-      buckets_.erase(buckets_.begin() + static_cast<long>(i) + 1);
-      // Re-test the same position: the merged bucket may merge again.
+      buckets_[dst].sum = pair;
+      buckets_[dst].t_newest = buckets_[src].t_newest;
+      buckets_[dst].merged = true;
+      // The merged bucket stays open: it may absorb the next one too.
     } else {
-      prefix += buckets_[i].sum;
-      ++i;
+      prefix += buckets_[dst].sum;
+      buckets_[++dst] = buckets_[src];
     }
   }
+  buckets_.erase(buckets_.begin() + static_cast<long>(dst) + 1,
+                 buckets_.end());
 }
 
 double ExponentialHistogram::Query(Timestamp t_now) {

@@ -38,6 +38,10 @@ class ExponentialHistogram {
   /// Estimate without advancing time (uses the last seen t_now).
   [[nodiscard]] double Estimate() const;
 
+  /// The histogram clock: the latest time inserted or queried (0 before
+  /// any). Insert and Query need times at or after it.
+  [[nodiscard]] Timestamp last_time() const { return last_time_; }
+
   /// Number of live buckets (space usage is 2 words per bucket).
   [[nodiscard]] int bucket_count() const { return static_cast<int>(buckets_.size()); }
 

@@ -94,7 +94,8 @@ void MatrixExpHistogram::Compress() {
   // Plan first, execute second. Each merge decision reads only bucket
   // masses (prefix/suffix arithmetic), never sketch contents, so the
   // sequential decision loop can run to completion before any FD work
-  // happens. A chained merge stays at the same destination, so every
+  // happens. The walk keeps one open destination and its running mass; a
+  // merged pair stays open and is tested against the next bucket, so every
   // group is one destination bucket absorbing the consecutive run of
   // source buckets [dst + 1, src_end).
   struct MergeGroup {
@@ -103,31 +104,25 @@ void MatrixExpHistogram::Compress() {
     double mass;
   };
   std::vector<MergeGroup> groups;
-  {
-    std::vector<std::pair<size_t, double>> live;  // (original index, mass)
-    live.reserve(buckets_.size());
-    for (size_t b = 0; b < buckets_.size(); ++b) {
-      live.emplace_back(b, buckets_[b].mass);
-    }
-    double prefix = 0.0;
-    size_t i = 0;
-    while (i + 1 < live.size()) {
-      const double pair = live[i].second + live[i + 1].second;
-      const double suffix = total_mass_ - prefix - pair;
-      if (pair <= eps_bucket_ * suffix) {
-        DSWM_OBS_COUNT("window.meh.merges", 1);
-        if (!groups.empty() && groups.back().dst == live[i].first) {
-          groups.back().src_end = live[i + 1].first + 1;
-          groups.back().mass = pair;
-        } else {
-          groups.push_back({live[i].first, live[i + 1].first + 1, pair});
-        }
-        live[i].second = pair;
-        live.erase(live.begin() + static_cast<long>(i) + 1);
+  double prefix = 0.0;  // mass of the buckets older than dst
+  size_t dst = 0;
+  double dst_mass = buckets_[0].mass;
+  for (size_t src = 1; src < buckets_.size(); ++src) {
+    const double pair = dst_mass + buckets_[src].mass;
+    const double suffix = total_mass_ - prefix - pair;
+    if (pair <= eps_bucket_ * suffix) {
+      DSWM_OBS_COUNT("window.meh.merges", 1);
+      if (groups.empty() || groups.back().dst != dst) {
+        groups.push_back({dst, src + 1, pair});
       } else {
-        prefix += live[i].second;
-        ++i;
+        groups.back().src_end = src + 1;
+        groups.back().mass = pair;
       }
+      dst_mass = pair;
+    } else {
+      prefix += dst_mass;
+      dst = src;
+      dst_mass = buckets_[src].mass;
     }
   }
   if (groups.empty()) return;
@@ -151,16 +146,18 @@ void MatrixExpHistogram::Compress() {
     dst.t_newest = buckets_[g.src_end - 1].t_newest;
     dst.merged = true;
   }
-  // Drop the absorbed source buckets in one pass, preserving order.
-  std::deque<Bucket> kept;
-  size_t g = 0;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    while (g < groups.size() && b >= groups[g].src_end) ++g;
-    const bool is_source =
-        g < groups.size() && b > groups[g].dst && b < groups[g].src_end;
-    if (!is_source) kept.push_back(std::move(buckets_[b]));
+  // Drop the absorbed sources in place, preserving order: each bucket kept
+  // after the first source moves down over the sources before it, then
+  // the vacated tail goes in one erase.
+  size_t write = groups.front().dst + 1;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const size_t kept_end =
+        g + 1 < groups.size() ? groups[g + 1].dst + 1 : buckets_.size();
+    for (size_t b = groups[g].src_end; b < kept_end; ++b) {
+      buckets_[write++] = std::move(buckets_[b]);
+    }
   }
-  buckets_ = std::move(kept);
+  buckets_.erase(buckets_.begin() + static_cast<long>(write), buckets_.end());
 }
 
 Matrix MatrixExpHistogram::QueryRows() const {

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -260,6 +262,80 @@ TEST(Da2, ProcessesBoundariesOnIdleTimeJumps) {
   // All mass expired; only discarded-residue noise may remain.
   ExactWindow empty(4, 100);
   EXPECT_LT(std::sqrt(cov.FrobeniusNormSquared()), 150 * 4 * 0.35);
+}
+
+// Within one AdvanceTime call no row arrives, so after two boundaries a
+// site's window state is empty and each later boundary changes nothing:
+// DA2 processes two per site and counts the rest. The reference steps
+// through the same 1,000-window gap one AdvanceTime call per boundary,
+// processing every one; estimate bytes, words and the boundary count
+// must agree, also after rows resume.
+TEST(Da2, FarJumpMatchesProcessingEveryBoundary) {
+  const Timestamp window = 50;
+  const int sites = 3;
+  for (const bool flush : {true, false}) {
+    TrackerConfig config = Config(4, sites, window, 0.2);
+    config.da2_flush_at_boundary = flush;
+    Da2Tracker jump(config);
+    Da2Tracker stepped(config);
+    Rng rng(31);
+    const auto observe_both = [&](Timestamp t) {
+      const int site = static_cast<int>(rng.NextBelow(sites));
+      const TimedRow row = RandomRow(&rng, 4, t);
+      ASSERT_TRUE(jump.Observe(site, row).ok());
+      ASSERT_TRUE(stepped.Observe(site, row).ok());
+    };
+    const auto expect_same = [&](const char* when) {
+      const Matrix a = jump.Query().Covariance();
+      const Matrix b = stepped.Query().Covariance();
+      ASSERT_EQ(a.rows() * a.cols(), b.rows() * b.cols()) << when;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                            sizeof(double) * a.rows() * a.cols()),
+                0)
+          << when << " flush=" << flush;
+      EXPECT_EQ(jump.Comm().TotalWords(), stepped.Comm().TotalWords())
+          << when;
+      EXPECT_EQ(jump.boundaries_processed(), stepped.boundaries_processed())
+          << when;
+    };
+    for (Timestamp t = 1; t <= 8 * window; ++t) observe_both(t);
+    const Timestamp far = 8 * window + 1000 * window + 7;
+    // The first call crosses 8W and 9W, each later one a single boundary.
+    for (Timestamp b = 9 * window; b < far; b += window) {
+      stepped.AdvanceTime(b + 1);
+    }
+    observe_both(far);
+    expect_same("after the gap");
+    // W, 2W, ..., 7W before the gap and 8W, ..., 1008W across it.
+    EXPECT_EQ(jump.boundaries_processed(), 1008L * sites);
+    for (Timestamp t = far + 1; t <= far + 3 * window; ++t) observe_both(t);
+    expect_same("after rows resume");
+  }
+}
+
+TEST(Da2, FarJumpFinishes) {
+  // Two rows, then a row 2e18 windows later: counted, not stepped.
+  TrackerConfig config = Config(3, 2, 2, 0.3);
+  Da2Tracker tracker(config);
+  Rng rng(32);
+  ASSERT_TRUE(tracker.Observe(0, RandomRow(&rng, 3, 1)).ok());
+  ASSERT_TRUE(tracker.Observe(1, RandomRow(&rng, 3, 2)).ok());
+  ASSERT_TRUE(
+      tracker.Observe(0, RandomRow(&rng, 3, 4'000'000'000'000'000'000)).ok());
+  // Boundaries 2, 4, ..., 4e18 - 2 at each of the two sites.
+  EXPECT_EQ(tracker.boundaries_processed(),
+            2 * (2'000'000'000'000'000'000L - 1));
+  EXPECT_GT(tracker.Query().Covariance().FrobeniusNormSquared(), 0.0);
+
+  // The boundary after the last one a clock can reach does not overflow:
+  // 3e18, 6e18 and 9e18 precede the row; 1.2e19 is past every Timestamp.
+  Da2Tracker edge(Config(3, 1, 3'000'000'000'000'000'000, 0.3));
+  ASSERT_TRUE(edge.Observe(0, RandomRow(&rng, 3, 1)).ok());
+  const Timestamp last = std::numeric_limits<Timestamp>::max();
+  ASSERT_TRUE(edge.Observe(0, RandomRow(&rng, 3, last - 1)).ok());
+  EXPECT_EQ(edge.boundaries_processed(), 3);
+  ASSERT_TRUE(edge.Observe(0, RandomRow(&rng, 3, last)).ok());
+  EXPECT_EQ(edge.boundaries_processed(), 3);
 }
 
 TEST(Da1, ExpiryOnlyStreamDrainsEstimate) {

@@ -135,6 +135,36 @@ TEST(SumTracker, InjectedChannelCarriesTheDeltas) {
             raw->comm().words_up);
 }
 
+TEST(SumTracker, ObserveRejectsBadWeightsAndTimesWithoutStateChange) {
+  SumTracker tracker(2, 100, 0.1);
+  ASSERT_TRUE(tracker.Observe(0, 4.0, 10).ok());
+  ASSERT_TRUE(tracker.Observe(1, 2.0, 3).ok());  // site 1's clock is 3
+  const double estimate = tracker.Estimate();
+  const long words = tracker.Comm().TotalWords();
+
+  EXPECT_EQ(tracker.Observe(0, 0.0, 11).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.Observe(0, -1.0, 11).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.Observe(0, std::nan(""), 11).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.Observe(0, HUGE_VAL, 11).code(),
+            StatusCode::kInvalidArgument);
+  // A per-site regression: site 0 has seen t = 10.
+  EXPECT_EQ(tracker.Observe(0, 1.0, 9).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.Observe(1, 1.0, -5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.Estimate(), estimate);
+  EXPECT_EQ(tracker.Comm().TotalWords(), words);
+
+  // A fresh site clock starts at tick 0.
+  SumTracker fresh(1, 100, 0.1);
+  EXPECT_EQ(fresh.Observe(0, 1.0, -5).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fresh.Observe(0, 1.0, 0).ok());
+
+  // Each site keeps its own clock: site 1 may still observe at 5.
+  EXPECT_TRUE(tracker.Observe(1, 1.0, 5).ok());
+  EXPECT_TRUE(tracker.Observe(0, 1.0, 10).ok());
+}
+
 TEST(SumTracker, SpaceBoundedBySketchNotStream) {
   SumTracker tracker(1, 5000, 0.1);
   Rng rng(7);

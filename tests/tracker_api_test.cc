@@ -114,6 +114,14 @@ TEST_P(ObserveErrors, RejectsBadSiteAndTimeRegression) {
   EXPECT_EQ(bad_site_low.code(), StatusCode::kInvalidArgument);
   const Status bad_site_high = tracker->Observe(2, RowAt(1, 3));
   EXPECT_EQ(bad_site_high.code(), StatusCode::kInvalidArgument);
+  // Every site window starts at tick 0, so no time may precede it.
+  for (const Timestamp t :
+       {Timestamp{-5}, Timestamp{-9'200'000'000'000'000'000}}) {
+    EXPECT_EQ(tracker->Observe(0, RowAt(t, 3)).code(),
+              StatusCode::kInvalidArgument)
+        << t;
+  }
+  EXPECT_EQ(tracker->Comm().TotalWords(), 0);
 
   EXPECT_TRUE(tracker->Observe(0, RowAt(10, 3)).ok());
   // Time must be non-decreasing across Observe calls.

@@ -1,12 +1,22 @@
 #include "window/matrix_eh.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "linalg/batched.h"
 #include "linalg/spectral_norm.h"
+#include "stream/pamap_like.h"
+#include "stream/synthetic.h"
+#include "stream/wiki_like.h"
 #include "window/exact_window.h"
 
 namespace dswm {
@@ -224,6 +234,289 @@ TEST(MatrixExpHistogram, LateInsertKeepsCovarianceAccuracy) {
   }
   EXPECT_LE(worst, eps);
 }
+
+// The mEH as it stood before Compress became an in-place index walk: the
+// merge plan erased from a `live` list once per merge, and execution
+// rebuilt the whole deque. Insert, InsertLate and Advance are unchanged
+// copies, so any difference in the buckets comes from Compress.
+class ReferenceMeh {
+ public:
+  using Bucket = MatrixExpHistogram::Bucket;
+
+  ReferenceMeh(int d, double eps, Timestamp window)
+      : d_(d),
+        eps_bucket_(eps / 3.0),
+        ell_(static_cast<int>(std::ceil(3.0 / eps))),
+        window_(window) {}
+
+  void Insert(const double* row, Timestamp t) {
+    if (t < last_time_) {
+      InsertLate(row, t);
+      return;
+    }
+    last_time_ = t;
+    Advance(t);
+    Bucket b{FrequentDirections(d_, ell_), NormSquared(row, d_), t, t, false};
+    b.fd.Append(row);
+    total_mass_ += b.mass;
+    buckets_.push_back(std::move(b));
+    if (++inserts_since_compress_ >= 4) {
+      Compress();
+      inserts_since_compress_ = 0;
+    }
+  }
+
+  void Advance(Timestamp t_now, std::vector<Bucket>* dropped = nullptr) {
+    last_time_ = t_now;
+    const Timestamp cutoff = t_now - window_;
+    while (!buckets_.empty() && buckets_.front().t_newest <= cutoff) {
+      total_mass_ -= buckets_.front().mass;
+      if (dropped != nullptr) dropped->push_back(std::move(buckets_.front()));
+      buckets_.pop_front();
+    }
+  }
+
+  double FrobeniusSquaredEstimate() const {
+    if (buckets_.empty()) return 0.0;
+    double est = total_mass_;
+    if (buckets_.front().merged) est -= 0.5 * buckets_.front().mass;
+    return est;
+  }
+
+  const std::deque<Bucket>& buckets() const { return buckets_; }
+
+ private:
+  void InsertLate(const double* row, Timestamp t) {
+    if (t <= last_time_ - window_) return;
+    Bucket b{FrequentDirections(d_, ell_), NormSquared(row, d_), t, t, false};
+    b.fd.Append(row);
+    total_mass_ += b.mass;
+    auto it = buckets_.end();
+    while (it != buckets_.begin() && (it - 1)->t_newest > t) --it;
+    buckets_.insert(it, std::move(b));
+    if (++inserts_since_compress_ >= 4) {
+      Compress();
+      inserts_since_compress_ = 0;
+    }
+  }
+
+  void Compress() {
+    if (buckets_.size() < 2) return;
+    struct MergeGroup {
+      size_t dst;
+      size_t src_end;
+      double mass;
+    };
+    std::vector<MergeGroup> groups;
+    {
+      std::vector<std::pair<size_t, double>> live;
+      live.reserve(buckets_.size());
+      for (size_t b = 0; b < buckets_.size(); ++b) {
+        live.emplace_back(b, buckets_[b].mass);
+      }
+      double prefix = 0.0;
+      size_t i = 0;
+      while (i + 1 < live.size()) {
+        const double pair = live[i].second + live[i + 1].second;
+        const double suffix = total_mass_ - prefix - pair;
+        if (pair <= eps_bucket_ * suffix) {
+          if (!groups.empty() && groups.back().dst == live[i].first) {
+            groups.back().src_end = live[i + 1].first + 1;
+            groups.back().mass = pair;
+          } else {
+            groups.push_back({live[i].first, live[i + 1].first + 1, pair});
+          }
+          live[i].second = pair;
+          live.erase(live.begin() + static_cast<long>(i) + 1);
+        } else {
+          prefix += live[i].second;
+          ++i;
+        }
+      }
+    }
+    if (groups.empty()) return;
+    std::vector<FdShrinkJob> jobs(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      jobs[g].fd = &buckets_[groups[g].dst].fd;
+      for (size_t s = groups[g].dst + 1; s < groups[g].src_end; ++s) {
+        jobs[g].sources.push_back(&buckets_[s].fd);
+      }
+    }
+    BatchedFdShrink(jobs.data(), static_cast<int>(jobs.size()));
+    for (const MergeGroup& g : groups) {
+      Bucket& dst = buckets_[g.dst];
+      dst.mass = g.mass;
+      dst.t_newest = buckets_[g.src_end - 1].t_newest;
+      dst.merged = true;
+    }
+    std::deque<Bucket> kept;
+    size_t g = 0;
+    for (size_t b = 0; b < buckets_.size(); ++b) {
+      while (g < groups.size() && b >= groups[g].src_end) ++g;
+      const bool is_source =
+          g < groups.size() && b > groups[g].dst && b < groups[g].src_end;
+      if (!is_source) kept.push_back(std::move(buckets_[b]));
+    }
+    buckets_ = std::move(kept);
+  }
+
+  int d_;
+  double eps_bucket_;
+  int ell_;
+  Timestamp window_;
+  std::deque<Bucket> buckets_;
+  double total_mass_ = 0.0;
+  Timestamp last_time_ = 0;
+  int inserts_since_compress_ = 0;
+};
+
+// Bucket by bucket, memcmp-equal: masses, time ranges, merged flags, FD
+// row counts and FD rows.
+template <typename Buckets>
+::testing::AssertionResult SameBuckets(const Buckets& got,
+                                       const Buckets& want, int d) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " buckets, reference has " << want.size();
+  }
+  for (size_t b = 0; b < got.size(); ++b) {
+    const auto& x = got[b];
+    const auto& y = want[b];
+    const bool same =
+        std::memcmp(&x.mass, &y.mass, sizeof(double)) == 0 &&
+        x.t_oldest == y.t_oldest && x.t_newest == y.t_newest &&
+        x.merged == y.merged && x.fd.row_count() == y.fd.row_count();
+    if (!same) {
+      return ::testing::AssertionFailure() << "bucket " << b << " differs";
+    }
+    for (int i = 0; i < x.fd.row_count(); ++i) {
+      if (std::memcmp(x.fd.Row(i), y.fd.Row(i), sizeof(double) * d) != 0) {
+        return ::testing::AssertionFailure()
+               << "bucket " << b << " FD row " << i << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+enum class DiffData { kPamap, kSynthetic, kWiki };
+
+struct DiffCase {
+  DiffData data;
+  bool late;  // every 7th row arrives a few ticks late (InsertLate)
+  int threads;
+};
+
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << (c.data == DiffData::kPamap       ? "pamap"
+          : c.data == DiffData::kSynthetic ? "synthetic"
+                                           : "wiki")
+      << (c.late ? " late" : " in-order") << " threads=" << c.threads;
+}
+
+std::vector<TimedRow> DiffRows(DiffData data, int rows) {
+  switch (data) {
+    case DiffData::kPamap: {
+      PamapLikeConfig config;
+      config.rows = rows;
+      PamapLikeGenerator gen(config);
+      return Materialize(&gen, rows);
+    }
+    case DiffData::kSynthetic: {
+      SyntheticConfig config;
+      config.rows = rows;
+      config.dim = 24;
+      SyntheticGenerator gen(config);
+      return Materialize(&gen, rows);
+    }
+    case DiffData::kWiki: {
+      WikiLikeConfig config;
+      config.rows = rows;
+      config.dim = 64;
+      WikiLikeGenerator gen(config);
+      return Materialize(&gen, rows);
+    }
+  }
+  return {};
+}
+
+// A list of (row, time) inserts: in order, or with every 7th row held
+// back and inserted once the clock has moved `lag` ticks past it.
+std::vector<std::pair<const TimedRow*, Timestamp>> InsertOrder(
+    const std::vector<TimedRow>& rows, bool late, Timestamp lag) {
+  std::vector<std::pair<const TimedRow*, Timestamp>> order;
+  std::deque<const TimedRow*> held;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Timestamp t = rows[i].timestamp;
+    if (late && i % 7 == 3) {
+      held.push_back(&rows[i]);
+    } else {
+      order.emplace_back(&rows[i], t);
+    }
+    while (!held.empty() && held.front()->timestamp + lag <= t) {
+      order.emplace_back(held.front(), held.front()->timestamp);
+      held.pop_front();
+    }
+  }
+  for (const TimedRow* row : held) order.emplace_back(row, row->timestamp);
+  return order;
+}
+
+class MehDifferential : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(MehDifferential, BucketsMatchReferenceAfterEveryInsert) {
+  const auto [data, late, threads] = GetParam();
+  const std::vector<TimedRow> rows = DiffRows(data, 2400);
+  const int d = static_cast<int>(rows.front().values.size());
+  const Timestamp span = rows.back().timestamp - rows.front().timestamp;
+  const Timestamp window = std::max<Timestamp>(2, span / 5);
+  const double eps = 0.15;  // eps_b = 0.05: hundreds of buckets, many merges
+  const int saved_threads = ThreadPool::Global()->num_threads();
+  ThreadPool::SetGlobalThreads(threads);
+
+  MatrixExpHistogram meh(d, eps, window);
+  ReferenceMeh ref(d, eps, window);
+  size_t max_buckets = 0;
+  long merged_front = 0;  // inserts after which the oldest bucket was merged
+  int step = 0;
+  for (const auto& [row, t] :
+       InsertOrder(rows, late, std::max<Timestamp>(1, window / 50))) {
+    meh.Insert(row->values.data(), t);
+    ref.Insert(row->values.data(), t);
+    ASSERT_TRUE(SameBuckets(meh.buckets(), ref.buckets(), d))
+        << "after insert " << step << " at t = " << t;
+    const double got = meh.FrobeniusSquaredEstimate();
+    const double want = ref.FrobeniusSquaredEstimate();
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0) << step;
+    max_buckets = std::max(max_buckets, meh.buckets().size());
+    merged_front += meh.buckets().front().merged ? 1 : 0;
+    ++step;
+  }
+  // The stream must exercise the merge path, not only append buckets.
+  EXPECT_GT(max_buckets, 80u);
+  EXPECT_GT(merged_front, 0);
+
+  // Expiry hands back the same buckets in the same order.
+  std::vector<MatrixExpHistogram::Bucket> dropped;
+  std::vector<ReferenceMeh::Bucket> ref_dropped;
+  const Timestamp end = rows.back().timestamp + window / 2;
+  meh.Advance(end, &dropped);
+  ref.Advance(end, &ref_dropped);
+  EXPECT_FALSE(dropped.empty());
+  EXPECT_TRUE(SameBuckets(dropped, ref_dropped, d));
+  EXPECT_TRUE(SameBuckets(meh.buckets(), ref.buckets(), d));
+  ThreadPool::SetGlobalThreads(saved_threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, MehDifferential,
+    ::testing::Values(DiffCase{DiffData::kPamap, false, 1},
+                      DiffCase{DiffData::kPamap, true, 1},
+                      DiffCase{DiffData::kPamap, true, 4},
+                      DiffCase{DiffData::kSynthetic, false, 1},
+                      DiffCase{DiffData::kSynthetic, true, 4},
+                      DiffCase{DiffData::kWiki, false, 4},
+                      DiffCase{DiffData::kWiki, true, 1}));
 
 }  // namespace
 }  // namespace dswm

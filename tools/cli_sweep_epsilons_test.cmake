@@ -3,8 +3,9 @@
 # A malformed or non-finite --epsilons entry exits 1 with an
 # InvalidArgument naming it, before anything runs; a valid list prints one
 # CSV row per epsilon. The other numeric flags go through the same reader:
-# a malformed value exits 1 with an InvalidArgument naming the flag, and
-# prints nothing on stdout.
+# a malformed value, or a count past int's range that would otherwise wrap
+# (4294967297 read as 1), exits 1 with an InvalidArgument naming the flag,
+# and prints nothing on stdout.
 foreach(bad "0.1junk" "abc" "inf")
   execute_process(COMMAND ${CLI} sweep --epsilons ${bad} --rows 300
                           --algorithms PWOR
@@ -25,7 +26,8 @@ if(NOT rc EQUAL 0 OR NOT n EQUAL 2)
 endif()
 
 foreach(case "run;--rows;abc" "run;--epsilon;0.1x" "serve-bench;--readers;2x"
-        "datasets;--rows;1e3")
+        "datasets;--rows;1e3" "run;--rows;4294967297"
+        "serve-bench;--dim;-4294967295")
   list(GET case 1 flag)
   list(GET case 2 value)
   execute_process(COMMAND ${CLI} ${case}

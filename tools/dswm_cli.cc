@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <type_traits>
 
@@ -61,15 +62,20 @@ int Fail(const Status& status) {
 }
 
 // The one reader of numeric flag text. The whole text must parse: empty
-// text, trailing junk, a value outside long's range and a non-finite
-// double are each an InvalidArgument naming the flag. The first error is
-// kept and later reads return their fallback, so a command reads all its
-// numeric flags, then checks status() once before it does any work.
+// text, trailing junk, a value outside the target type's range (int for
+// counts and sizes, long for times, seeds and query budgets) and a
+// non-finite double are each an InvalidArgument naming the flag. The
+// first error is kept and later reads return their fallback, so a command
+// reads all its numeric flags, then checks status() once before it does
+// any work.
 class NumberReader {
  public:
   explicit NumberReader(const FlagSet& flags) : flags_(flags) {}
 
-  long Int(const std::string& name, long fallback) {
+  int Int(const std::string& name, int fallback) {
+    return Flag(name, fallback);
+  }
+  long Long(const std::string& name, long fallback) {
     return Flag(name, fallback);
   }
   double Real(const std::string& name, double fallback) {
@@ -79,25 +85,30 @@ class NumberReader {
   /// Parses `text`; `what` names it in the error ("--epsilons entry").
   template <typename T>
   T Parse(const std::string& what, const std::string& text, T fallback) {
-    static_assert(std::is_same_v<T, long> || std::is_same_v<T, double>);
+    static_assert(std::is_same_v<T, int> || std::is_same_v<T, long> ||
+                  std::is_same_v<T, double>);
     char* end = nullptr;
     errno = 0;
+    bool in_range = false;
     T value{};
-    if constexpr (std::is_same_v<T, long>) {
-      value = std::strtol(text.c_str(), &end, 10);
-    } else {
+    if constexpr (std::is_same_v<T, double>) {
       value = std::strtod(text.c_str(), &end);
+      in_range = std::isfinite(value);
+    } else {
+      const long parsed = std::strtol(text.c_str(), &end, 10);
+      in_range = errno != ERANGE &&
+                 parsed >= std::numeric_limits<T>::min() &&
+                 parsed <= std::numeric_limits<T>::max();
+      value = static_cast<T>(parsed);
     }
     const bool whole = !text.empty() && end == text.c_str() + text.size();
-    const bool in_range = std::is_same_v<T, long>
-                              ? errno != ERANGE
-                              : std::isfinite(static_cast<double>(value));
     if (whole && in_range) return value;
     if (status_.ok()) {
       status_ = Status::InvalidArgument(
           what + " '" + text + "' is not a " +
-          (std::is_same_v<T, long> ? "whole number in long's range"
-                                   : "finite number"));
+          (std::is_same_v<T, double> ? "finite number"
+           : std::is_same_v<T, int>  ? "whole number in int's range"
+                                     : "whole number in long's range"));
     }
     return fallback;
   }
@@ -165,7 +176,7 @@ int CmdAlgorithms() {
 
 int CmdDatasets(const FlagSet& flags) {
   NumberReader num(flags);
-  const int rows = static_cast<int>(num.Int("rows", 0));
+  const int rows = num.Int("rows", 0);
   if (!num.status().ok()) return Fail(num.status());
   std::printf("%-10s %10s %6s %10s %12s\n", "dataset", "rows", "d", "span",
               "ratio R");
@@ -189,23 +200,23 @@ int CmdRun(const FlagSet& flags) {
   if (!algorithm.ok()) return Fail(algorithm.status());
 
   NumberReader num(flags);
-  const uint64_t seed = static_cast<uint64_t>(num.Int("seed", 1));
-  const int timestamp_col = static_cast<int>(num.Int("timestamp-col", -1));
-  const int dataset_rows = static_cast<int>(num.Int("rows", 0));
-  const Timestamp window = num.Int("window", 0);
+  const uint64_t seed = static_cast<uint64_t>(num.Long("seed", 1));
+  const int timestamp_col = num.Int("timestamp-col", -1);
+  const int dataset_rows = num.Int("rows", 0);
+  const Timestamp window = num.Long("window", 0);
   TrackerConfig config;
-  config.num_sites = static_cast<int>(num.Int("sites", 20));
+  config.num_sites = num.Int("sites", 20);
   config.epsilon = num.Real("epsilon", 0.05);
   config.seed = seed;
-  config.ell_override = static_cast<int>(num.Int("ell", 0));
+  config.ell_override = num.Int("ell", 0);
   config.net.drop = num.Real("net-drop", 0.0);
   config.net.duplicate = num.Real("net-dup", 0.0);
-  config.net.delay_max = num.Int("net-delay", 0);
-  config.net.seed = static_cast<uint64_t>(num.Int("net-seed", 0));
+  config.net.delay_max = num.Long("net-delay", 0);
+  config.net.seed = static_cast<uint64_t>(num.Long("net-seed", 0));
   config.net.reliable = num.Int("net-reliable", 0) != 0;
-  config.net.retry = std::max<Timestamp>(1, num.Int("net-retry", 1));
+  config.net.retry = std::max<Timestamp>(1, num.Long("net-retry", 1));
   DriverOptions options;
-  options.query_points = static_cast<int>(num.Int("queries", 50));
+  options.query_points = num.Int("queries", 50);
   options.seed = seed + 99;
   if (!num.status().ok()) return Fail(num.status());
 
@@ -315,16 +326,15 @@ int CmdServeBench(const FlagSet& flags) {
   NumberReader num(flags);
   serve::LoadGenOptions options;
   options.algorithm = algorithm.value();
-  options.rows = static_cast<int>(num.Int("rows", options.rows));
-  options.dim = static_cast<int>(num.Int("dim", options.dim));
-  options.sites = static_cast<int>(num.Int("sites", options.sites));
+  options.rows = num.Int("rows", options.rows);
+  options.dim = num.Int("dim", options.dim);
+  options.sites = num.Int("sites", options.sites);
   options.epsilon = num.Real("epsilon", options.epsilon);
-  options.window = num.Int("window", 0);
-  options.seed = static_cast<uint64_t>(num.Int("seed", 5));
-  options.reader_threads =
-      static_cast<int>(num.Int("readers", options.reader_threads));
+  options.window = num.Long("window", 0);
+  options.seed = static_cast<uint64_t>(num.Long("seed", 5));
+  options.reader_threads = num.Int("readers", options.reader_threads);
   options.min_queries_per_reader =
-      num.Int("min-queries", options.min_queries_per_reader);
+      num.Long("min-queries", options.min_queries_per_reader);
   const bool selfcheck = num.Int("selfcheck", 0) != 0;
   if (!num.status().ok()) return Fail(num.status());
   const Status valid = options.Validate();
@@ -394,11 +404,11 @@ int CmdSweep(const FlagSet& flags) {
        SplitCommas(flags.GetString("epsilons", "0.2,0.1,0.05"))) {
     epsilons.push_back(num.Parse("--epsilons entry", entry, 0.0));
   }
-  const uint64_t seed = static_cast<uint64_t>(num.Int("seed", 1));
-  const int dataset_rows = static_cast<int>(num.Int("rows", 0));
-  const int sites = static_cast<int>(num.Int("sites", 20));
-  const Timestamp window_flag = num.Int("window", 0);
-  const int queries = static_cast<int>(num.Int("queries", 25));
+  const uint64_t seed = static_cast<uint64_t>(num.Long("seed", 1));
+  const int dataset_rows = num.Int("rows", 0);
+  const int sites = num.Int("sites", 20);
+  const Timestamp window_flag = num.Long("window", 0);
+  const int queries = num.Int("queries", 25);
   if (!num.status().ok()) return Fail(num.status());
 
   auto data = BuildDataset(flags.GetString("dataset", "synthetic"),
