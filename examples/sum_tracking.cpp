@@ -36,7 +36,12 @@ int main() {
   std::printf("%-10s %16s %16s %10s\n", "tick", "exact_sum", "estimate",
               "rel_err");
   for (Timestamp t = 1; t <= 60000; ++t) {
-    tracker.AdvanceTime(t);
+    const dswm::Status advanced = tracker.AdvanceTime(t);
+    if (!advanced.ok()) {
+      std::fprintf(stderr, "AdvanceTime failed: %s\n",
+                   advanced.message().c_str());
+      return 1;
+    }
     // Bursty traffic: quiet baseline with heavy-tailed flare-ups.
     const int arrivals = rng.NextDouble() < 0.002 ? 50 : 1;
     for (int a = 0; a < arrivals; ++a) {

@@ -27,7 +27,7 @@ Status CentralizedTracker::Observe(int site, const TimedRow& row) {
   return Status::OK();
 }
 
-void CentralizedTracker::AdvanceTime(Timestamp t) {
+void CentralizedTracker::Advance(Timestamp t) {
   channel_->AdvanceTime(t);
   meh_.Advance(t);
 }

@@ -30,7 +30,6 @@ class CentralizedTracker : public DistributedTracker {
   explicit CentralizedTracker(const TrackerConfig& config);
 
   Status Observe(int site, const TimedRow& row) override;
-  void AdvanceTime(Timestamp t) override;
   CovarianceEstimate Query() const override;
   const CommStats& Comm() const override { return channel_->comm(); }
   std::vector<net::Channel*> Channels() const override {
@@ -41,6 +40,8 @@ class CentralizedTracker : public DistributedTracker {
   int Dim() const override { return config_.dim; }
 
  private:
+  void Advance(Timestamp t) override;
+
   TrackerConfig config_;
   MatrixExpHistogram meh_;
   std::unique_ptr<net::Channel> channel_;

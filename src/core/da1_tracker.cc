@@ -116,7 +116,7 @@ void Da1Tracker::MaybeReport(int site, SiteState* st, Timestamp /*t*/) {
 Status Da1Tracker::Observe(int site, const TimedRow& row) {
   DSWM_RETURN_NOT_OK(
       ValidateObserve(site, static_cast<int>(sites_.size()), row));
-  AdvanceTime(row.timestamp);
+  Advance(row.timestamp);
 
   SiteState& st = sites_[site];
   st.meh.Insert(row.values.data(), row.timestamp);
@@ -126,7 +126,7 @@ Status Da1Tracker::Observe(int site, const TimedRow& row) {
   return Status::OK();
 }
 
-void Da1Tracker::AdvanceTime(Timestamp t) {
+void Da1Tracker::Advance(Timestamp t) {
   if (t <= now_) {
     DSWM_CHECK_EQ(t, now_);
     return;

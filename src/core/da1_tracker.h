@@ -38,7 +38,6 @@ class Da1Tracker : public DistributedTracker {
   explicit Da1Tracker(const TrackerConfig& config);
 
   Status Observe(int site, const TimedRow& row) override;
-  void AdvanceTime(Timestamp t) override;
   CovarianceEstimate Query() const override;
   const CommStats& Comm() const override { return channel_->comm(); }
   std::vector<net::Channel*> Channels() const override {
@@ -54,6 +53,8 @@ class Da1Tracker : public DistributedTracker {
   long norm_checks() const { return norm_checks_; }
 
  private:
+  void Advance(Timestamp t) override;
+
   struct SiteState {
     MatrixExpHistogram meh;
     Matrix c;               // incremental window covariance (site side)

@@ -155,7 +155,7 @@ void Da2Tracker::ProcessBoundary(int site, SiteState* st, Timestamp boundary) {
 Status Da2Tracker::Observe(int site, const TimedRow& row) {
   DSWM_RETURN_NOT_OK(
       ValidateObserve(site, static_cast<int>(sites_.size()), row));
-  AdvanceTime(row.timestamp);
+  Advance(row.timestamp);
 
   SiteState& st = sites_[site];
   const double w = row.NormSquared();
@@ -167,7 +167,7 @@ Status Da2Tracker::Observe(int site, const TimedRow& row) {
   return Status::OK();
 }
 
-void Da2Tracker::AdvanceTime(Timestamp t) {
+void Da2Tracker::Advance(Timestamp t) {
   if (initialized_ && t <= now_) {
     DSWM_CHECK_EQ(t, now_);
     return;

@@ -44,7 +44,6 @@ class Da2Tracker : public DistributedTracker {
   explicit Da2Tracker(const TrackerConfig& config);
 
   Status Observe(int site, const TimedRow& row) override;
-  void AdvanceTime(Timestamp t) override;
   CovarianceEstimate Query() const override;
   const CommStats& Comm() const override { return channel_->comm(); }
   std::vector<net::Channel*> Channels() const override {
@@ -61,6 +60,8 @@ class Da2Tracker : public DistributedTracker {
   long boundaries_processed() const { return boundaries_; }
 
  private:
+  void Advance(Timestamp t) override;
+
   struct QEntry {
     std::vector<double> direction;
     Timestamp timestamp;

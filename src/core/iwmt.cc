@@ -81,6 +81,7 @@ void IwmtProtocol::FactorShrunkRows(int rows) {
 void IwmtProtocol::Rebase(int rows) {
   base_rows_ = rows;
   projected_ = 0;
+  chol_rows_ = 0;
   last_top_ = 0.0;
   for (int k = 0; k < rank_; ++k) last_top_ = std::max(last_top_, sigma2_[k]);
   mass_since_check_ = 0.0;
@@ -99,13 +100,28 @@ bool IwmtProtocol::CertifiedBelow(double theta) {
       g[b] = Dot(residual_.Row(base_rows_ + b), f, d_);
     }
   }
-  // F M^-1 F^T = (G + Z D Z^T) / theta with D = sigma^2 / (theta -
-  // sigma^2); the Cholesky runs on theta * ((1 - margin) I - F M^-1 F^T),
-  // row by row, so an early row that fails costs little.
+  // The tested matrix grows with theta, so a factor that passed at
+  // chol_theta_ certifies every theta above it: extend it by the new rows.
+  // A failure at chol_theta_ itself is the full test's own failure, since
+  // a refactor would redo the same arithmetic.
+  if (chol_rows_ > 0 && theta >= chol_theta_) {
+    if (ExtendCholesky(chol_rows_, m)) return true;
+    if (theta == chol_theta_) return false;
+  }
+  chol_theta_ = theta;
   for (int k = 0; k < rank_; ++k) {
     weight_[k] = std::sqrt(sigma2_[k] / (theta - sigma2_[k]));
   }
-  for (int i = 0; i < m; ++i) {
+  return ExtendCholesky(0, m);
+}
+
+bool IwmtProtocol::ExtendCholesky(int from, int m) {
+  DSWM_OBS_COUNT("core.iwmt.cholesky_rows", m - from);
+  // F M^-1 F^T = (G + Z D Z^T) / theta with D = sigma^2 / (theta -
+  // sigma^2); the Cholesky runs on theta * ((1 - margin) I - F M^-1 F^T),
+  // row by row, so an early row that fails costs little.
+  const double theta = chol_theta_;
+  for (int i = from; i < m; ++i) {
     const double* z = proj_.Row(i);
     double* zs = scaled_.Row(i);
     for (int k = 0; k < rank_; ++k) zs[k] = z[k] * weight_[k];
@@ -123,6 +139,7 @@ bool IwmtProtocol::CertifiedBelow(double theta) {
       }
     }
   }
+  chol_rows_ = m;
   return true;
 }
 

@@ -23,9 +23,13 @@
 // their dot products with each other. "top < theta" is then exactly the
 // positive definiteness of the m x m Schur complement
 //   I - F M^-1 F^T,  M = theta I - V^T diag(sigma^2) V,
-// which a Cholesky factorization with a safety margin certifies in
-// O(m^2 r + m^3), stopping at the first failing pivot. Only a failed
-// certificate decomposes, and the decomposition decides exactly.
+// which a Cholesky factorization with a safety margin certifies, stopping
+// at the first failing pivot. The tested matrix only grows with theta, so
+// the factor is kept across inputs at the theta it was built for and
+// extended by each new row in O(m r + m^2); it is rebuilt, in
+// O(m^2 r + m^3), only when theta falls below that value or an extension
+// fails above it. Only a failed certificate decomposes, and the
+// decomposition decides exactly.
 
 #ifndef DSWM_CORE_IWMT_H_
 #define DSWM_CORE_IWMT_H_
@@ -65,8 +69,10 @@ class IwmtProtocol {
 
   /// The residual's rows plus the factor the trigger keeps across calls
   /// (V, sigma^2, the new rows' projections and Gram), counted the way FD
-  /// counts its rows: the part in use. The per-certificate workspace
-  /// (weight_, scaled_, chol_) is scratch, like FD's shrink buffer.
+  /// counts its rows: the part in use. The certificate's Cholesky factor
+  /// (weight_, scaled_, chol_) is left uncounted: between calls it is a
+  /// cache, recomputable from the counted projections, Gram, sigma^2 and
+  /// chol_theta_.
   [[nodiscard]] long SpaceWords() const;
 
   /// The unreported residual sketch, read-only.
@@ -77,6 +83,7 @@ class IwmtProtocol {
   void FactorShrunkRows(int rows);
   void Rebase(int rows);
   bool CertifiedBelow(double theta);
+  bool ExtendCholesky(int from, int m);
   void Decompose(double theta, std::vector<IwmtOutput>* out);
 
   int d_;
@@ -98,8 +105,11 @@ class IwmtProtocol {
   int projected_ = 0;
   Matrix proj_;
   Matrix gram_;
-  // Per-certificate workspace: V f_a scaled by sqrt(sigma^2 / (theta -
-  // sigma^2)), and the Cholesky factor.
+  // The certificate's factor at theta = chol_theta_, valid for its first
+  // chol_rows_ rows: V f_a scaled by sqrt(sigma^2 / (theta - sigma^2)),
+  // and the Cholesky factor.
+  int chol_rows_ = 0;
+  double chol_theta_ = 0.0;
   std::vector<double> weight_;
   Matrix scaled_;
   Matrix chol_;

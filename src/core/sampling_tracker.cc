@@ -88,7 +88,7 @@ Status SamplingTracker::Observe(int site, const TimedRow& row) {
 }
 
 Status SamplingTracker::ObserveChecked(int site, const TimedRow& row) {
-  AdvanceTime(row.timestamp);
+  Advance(row.timestamp);
 
   const double w = row.NormSquared();
   if (w <= 0.0) return Status::OK();  // zero rows carry no covariance mass
@@ -110,7 +110,7 @@ Status SamplingTracker::ObserveChecked(int site, const TimedRow& row) {
   return Status::OK();
 }
 
-void SamplingTracker::AdvanceTime(Timestamp t) {
+void SamplingTracker::Advance(Timestamp t) {
   if (t <= now_) {
     DSWM_CHECK_EQ(t, now_);  // time never goes backwards
     return;
@@ -123,7 +123,7 @@ void SamplingTracker::AdvanceTime(Timestamp t) {
   for (SiteState& st : sites_) st.queue.Expire(t);
   s_.ExpireBefore(cutoff);
   s_prime_.ExpireBefore(cutoff);
-  if (fnorm_tracker_ != nullptr) fnorm_tracker_->AdvanceTime(t);
+  if (fnorm_tracker_ != nullptr) fnorm_tracker_->Advance(t);
   Maintain();
 }
 

@@ -54,7 +54,6 @@ class SamplingTracker : public DistributedTracker {
                   uint64_t channel_salt = 0);
 
   Status Observe(int site, const TimedRow& row) override;
-  void AdvanceTime(Timestamp t) override;
   CovarianceEstimate Query() const override;
   const CommStats& Comm() const override;
   std::vector<net::Channel*> Channels() const override;
@@ -79,6 +78,8 @@ class SamplingTracker : public DistributedTracker {
   double MaxOutstandingKey() const;
 
  private:
+  void Advance(Timestamp t) override;
+
   // The WR wrapper checks each row once for all of its samplers.
   friend class WithReplacementTracker;
 

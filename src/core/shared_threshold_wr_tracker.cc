@@ -72,7 +72,7 @@ void SharedThresholdWrTracker::BroadcastThreshold() {
 Status SharedThresholdWrTracker::Observe(int site, const TimedRow& row) {
   DSWM_RETURN_NOT_OK(
       ValidateObserve(site, static_cast<int>(sites_.size()), row));
-  AdvanceTime(row.timestamp);
+  Advance(row.timestamp);
 
   const double w = row.NormSquared();
   if (w <= 0.0) return Status::OK();
@@ -98,7 +98,7 @@ Status SharedThresholdWrTracker::Observe(int site, const TimedRow& row) {
   return Status::OK();
 }
 
-void SharedThresholdWrTracker::AdvanceTime(Timestamp t) {
+void SharedThresholdWrTracker::Advance(Timestamp t) {
   if (t <= now_) {
     DSWM_CHECK_EQ(t, now_);
     return;
@@ -120,7 +120,7 @@ void SharedThresholdWrTracker::AdvanceTime(Timestamp t) {
     total_held_ -= static_cast<long>(h.end() - new_end);
     h.erase(new_end, h.end());
   }
-  fnorm_tracker_.AdvanceTime(t);
+  fnorm_tracker_.Advance(t);
   Maintain();
 }
 

@@ -37,7 +37,6 @@ class SharedThresholdWrTracker : public DistributedTracker {
                            SamplingScheme scheme);
 
   Status Observe(int site, const TimedRow& row) override;
-  void AdvanceTime(Timestamp t) override;
   CovarianceEstimate Query() const override;
   const CommStats& Comm() const override;
   std::vector<net::Channel*> Channels() const override;
@@ -52,6 +51,8 @@ class SharedThresholdWrTracker : public DistributedTracker {
   int SamplersWithSample() const;
 
  private:
+  void Advance(Timestamp t) override;
+
   // A site-queued candidate: the row (shared across samplers to avoid l
   // copies) plus this sampler's key.
   struct Pending {

@@ -63,7 +63,19 @@ Status SumTracker::Observe(int site, double w, Timestamp t) {
   return Status::OK();
 }
 
-void SumTracker::AdvanceTime(Timestamp t) {
+Status SumTracker::AdvanceTime(Timestamp t) {
+  for (const SiteState& s : sites_) {
+    if (t < s.histogram.last_time()) {
+      return Status::InvalidArgument("SumTracker::AdvanceTime: time " +
+                                     std::to_string(t) +
+                                     " precedes a site's clock");
+    }
+  }
+  Advance(t);
+  return Status::OK();
+}
+
+void SumTracker::Advance(Timestamp t) {
   channel_->AdvanceTime(t);
   for (int j = 0; j < static_cast<int>(sites_.size()); ++j) CheckSite(j, t);
 }

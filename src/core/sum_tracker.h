@@ -45,8 +45,13 @@ class SumTracker {
   Status Observe(int site, double w, Timestamp t);
 
   /// Advances the clock; sites re-check their thresholds because expiry
-  /// shrinks C even without arrivals.
-  void AdvanceTime(Timestamp t);
+  /// shrinks C even without arrivals. InvalidArgument, with no state
+  /// change, on a time before any site's clock.
+  [[nodiscard]] Status AdvanceTime(Timestamp t);
+
+  /// AdvanceTime() for a `t` already checked against every site's clock:
+  /// for an enclosing protocol, whose own clock is validated.
+  void Advance(Timestamp t);
 
   /// Coordinator's estimate of the window sum.
   [[nodiscard]] double Estimate() const { return coordinator_sum_; }

@@ -18,10 +18,10 @@ Status DistributedTracker::ValidateObserve(int site, int num_sites,
                                    " out of range [0, " +
                                    std::to_string(num_sites) + ")");
   }
-  if (row.timestamp < last_observe_time_) {
+  if (row.timestamp < clock_) {
     return Status::InvalidArgument(
         "Observe: timestamp regression (" + std::to_string(row.timestamp) +
-        " < " + std::to_string(last_observe_time_) + ")");
+        " < " + std::to_string(clock_) + ")");
   }
   const int d = Dim();
   if (row.values.size() != static_cast<size_t>(d)) {
@@ -41,7 +41,18 @@ Status DistributedTracker::ValidateObserve(int site, int num_sites,
                                      std::to_string(d) + ")");
     }
   }
-  last_observe_time_ = row.timestamp;
+  clock_ = row.timestamp;
+  return Status::OK();
+}
+
+Status DistributedTracker::AdvanceTime(Timestamp t) {
+  if (t < clock_) {
+    return Status::InvalidArgument(
+        "AdvanceTime: time precedes the clock at tick " +
+        std::to_string(clock_));
+  }
+  clock_ = t;
+  Advance(t);
   return Status::OK();
 }
 

@@ -28,23 +28,26 @@ class Channel;
 ///
 /// Misuse is reported, not crashed on: Observe() returns InvalidArgument
 /// for an out-of-range site, a negative timestamp or a regression, or a
-/// malformed row.
+/// malformed row, and AdvanceTime() for a negative time or a regression.
 /// Contract violations *inside* a protocol remain DSWM_CHECKs.
 class DistributedTracker {
  public:
   virtual ~DistributedTracker() = default;
 
   /// Row `row` arrives at site `site` at time row.timestamp. Timestamps
-  /// across calls must be non-negative and non-decreasing; a negative
-  /// time, a decrease, an out-of-range site, a row whose length is not
-  /// Dim(), a non-finite value or an out-of-range support index returns
-  /// InvalidArgument without mutating tracker state.
+  /// across calls must be non-negative and not precede the clock (the
+  /// last Observe or AdvanceTime); a negative time, a decrease, an
+  /// out-of-range site, a row whose length is not Dim(), a non-finite
+  /// value or an out-of-range support index returns InvalidArgument
+  /// without mutating tracker state.
   [[nodiscard]] virtual Status Observe(int site, const TimedRow& row) = 0;
 
   /// Advances the global clock to `t`: expirations are processed at every
   /// site and at the coordinator, and the protocol re-establishes its
-  /// invariants (threshold negotiation, refills, backward tracking).
-  virtual void AdvanceTime(Timestamp t) = 0;
+  /// invariants (threshold negotiation, refills, backward tracking). A
+  /// negative t or one before the clock returns InvalidArgument without
+  /// mutating tracker state.
+  [[nodiscard]] Status AdvanceTime(Timestamp t);
 
   /// The current estimate in its native (cheapest) form; the other view
   /// converts lazily inside CovarianceEstimate. Move-returned -- no deep
@@ -82,16 +85,19 @@ class DistributedTracker {
 
  protected:
   /// Shared Observe() precondition check: `site` must be in
-  /// [0, num_sites), `row.timestamp` must not precede the last observed
-  /// timestamp (nor tick 0, where every site window starts), and `row`
-  /// must hold Dim() finite values with support indices in [0, Dim()).
-  /// The values are read in one pass. On OK the timestamp watermark
-  /// advances; on error no state changes.
+  /// [0, num_sites), `row.timestamp` must not precede the clock (nor tick
+  /// 0, where every site window starts), and `row` must hold Dim() finite
+  /// values with support indices in [0, Dim()). The values are read in
+  /// one pass. On OK the clock advances; on error no state changes.
   [[nodiscard]] Status ValidateObserve(int site, int num_sites,
                                        const TimedRow& row);
 
+  /// The protocol's clock step behind AdvanceTime(), for a `t` that does
+  /// not precede the clock; Observe() takes it for each row's timestamp.
+  virtual void Advance(Timestamp t) = 0;
+
  private:
-  Timestamp last_observe_time_ = 0;
+  Timestamp clock_ = 0;  // the last Observe or AdvanceTime time
 };
 
 }  // namespace dswm

@@ -45,9 +45,9 @@ Status WithReplacementTracker::Observe(int site, const TimedRow& row) {
   return Status::OK();
 }
 
-void WithReplacementTracker::AdvanceTime(Timestamp t) {
-  for (auto& s : samplers_) s->AdvanceTime(t);
-  fnorm_tracker_.AdvanceTime(t);
+void WithReplacementTracker::Advance(Timestamp t) {
+  for (auto& s : samplers_) s->Advance(t);
+  fnorm_tracker_.Advance(t);
 }
 
 CovarianceEstimate WithReplacementTracker::Query() const {

@@ -26,7 +26,6 @@ class WithReplacementTracker : public DistributedTracker {
   WithReplacementTracker(const TrackerConfig& config, SamplingScheme scheme);
 
   Status Observe(int site, const TimedRow& row) override;
-  void AdvanceTime(Timestamp t) override;
   CovarianceEstimate Query() const override;
   const CommStats& Comm() const override;
   std::vector<net::Channel*> Channels() const override;
@@ -37,6 +36,8 @@ class WithReplacementTracker : public DistributedTracker {
   int ell() const { return static_cast<int>(samplers_.size()); }
 
  private:
+  void Advance(Timestamp t) override;
+
   TrackerConfig config_;
   SamplingScheme scheme_;
   std::string name_;

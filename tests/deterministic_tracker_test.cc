@@ -158,7 +158,7 @@ TEST_P(Da2Guarantee, ErrorStaysBelowEpsilonAtEveryBoundary) {
   double worst = 0.0;
   int checks = 0;
   const auto score = [&](Timestamp t) {
-    tracker.AdvanceTime(t);
+    EXPECT_TRUE(tracker.AdvanceTime(t).ok());
     exact.Advance(t);
     const CovarianceEstimate approx = tracker.Query();
     const double err = CovarianceErrorOfCovariance(
@@ -256,7 +256,7 @@ TEST(Da2, ProcessesBoundariesOnIdleTimeJumps) {
   EXPECT_GE(tracker.boundaries_processed(), 1);
   // A jump across several windows must process every crossed boundary and
   // drain the coordinator's estimate to ~zero.
-  tracker.AdvanceTime(1000);
+  EXPECT_TRUE(tracker.AdvanceTime(1000).ok());
   EXPECT_GE(tracker.boundaries_processed(), 3);
   const Matrix cov = tracker.Query().Covariance();
   // All mass expired; only discarded-residue noise may remain.
@@ -302,7 +302,7 @@ TEST(Da2, FarJumpMatchesProcessingEveryBoundary) {
     const Timestamp far = 8 * window + 1000 * window + 7;
     // The first call crosses 8W and 9W, each later one a single boundary.
     for (Timestamp b = 9 * window; b < far; b += window) {
-      stepped.AdvanceTime(b + 1);
+      EXPECT_TRUE(stepped.AdvanceTime(b + 1).ok());
     }
     observe_both(far);
     expect_same("after the gap");
@@ -347,7 +347,7 @@ TEST(Da1, ExpiryOnlyStreamDrainsEstimate) {
     mass += row.NormSquared();
     EXPECT_TRUE(tracker.Observe(0, row).ok());
   }
-  tracker.AdvanceTime(5000);
+  EXPECT_TRUE(tracker.AdvanceTime(5000).ok());
   const Matrix cov = tracker.Query().Covariance();
   // After full expiry the site must have reported the (negative) change.
   EXPECT_LT(std::sqrt(cov.FrobeniusNormSquared()), 0.25 * mass);

@@ -45,8 +45,6 @@ class FailAfterTracker : public DistributedTracker {
     return Status::OK();
   }
 
-  void AdvanceTime(Timestamp) override {}
-
   CovarianceEstimate Query() const override {
     return CovarianceEstimate::FromCovariance(cov_);
   }
@@ -57,6 +55,8 @@ class FailAfterTracker : public DistributedTracker {
   int Dim() const override { return dim_; }
 
  private:
+  void Advance(Timestamp) override {}
+
   int dim_;
   int fail_after_;
   int seen_ = 0;

@@ -81,10 +81,11 @@ TEST(EdgeCases, ManyRowsSharingOneTimestamp) {
           RowOf({rng.NextGaussian(), rng.NextGaussian(), rng.NextGaussian()},
                 /*t=*/7)).ok());
     }
-    tracker.value()->AdvanceTime(8);
+    EXPECT_TRUE(tracker.value()->AdvanceTime(8).ok());
     EXPECT_GT(tracker.value()->Query().Rows().FrobeniusNormSquared(), 0.0)
         << AlgorithmName(a);
-    tracker.value()->AdvanceTime(100);  // burst fully expires
+    // The burst fully expires.
+    EXPECT_TRUE(tracker.value()->AdvanceTime(100).ok());
     const Matrix sketch = tracker.value()->Query().Rows();
     // Deterministic trackers may carry sub-threshold residue; samplers
     // must be empty.
@@ -219,7 +220,7 @@ TEST(EdgeCases, AdvanceTimeWithoutObservationsIsSafeEverywhere) {
     config.ell_override = 4;
     auto tracker = MakeTracker(a, config);
     for (Timestamp t = 1; t <= 500; t += 37) {
-      tracker.value()->AdvanceTime(t);
+      EXPECT_TRUE(tracker.value()->AdvanceTime(t).ok());
     }
     EXPECT_EQ(tracker.value()->Comm().TotalWords(), 0) << AlgorithmName(a);
     EXPECT_EQ(tracker.value()->Query().Rows().rows(), 0) << AlgorithmName(a);

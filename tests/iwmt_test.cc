@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,7 +216,7 @@ void ExpectSameOutputs(const std::vector<IwmtOutput>& got,
 }
 
 enum class Stream { kIsotropic, kRankOne, kHeavyAfterLight };
-enum class Theta { kGrowing, kShrinking };
+enum class Theta { kGrowing, kShrinking, kFixed, kSawtooth };
 
 struct TriggerCase {
   int d;
@@ -224,6 +225,65 @@ struct TriggerCase {
   Theta theta;
   int flush_every;  // 0: never
   int rows;
+};
+
+// The rows and thresholds of one case, step by step (steps count from 1).
+class TriggerInputs {
+ public:
+  explicit TriggerInputs(const TriggerCase& c)
+      : c_(c), rng_(900 + c.d), direction_(c.d), row_(c.d) {
+    for (int j = 0; j < c.d; ++j) direction_[j] = rng_.NextGaussian();
+    Scale(direction_.data(), c.d,
+          1.0 / std::sqrt(NormSquared(direction_.data(), c.d)));
+  }
+
+  // Draws the row of step i into row() and returns its theta.
+  double Next(int i) {
+    switch (c_.stream) {
+      case Stream::kIsotropic:
+        for (int j = 0; j < c_.d; ++j) row_[j] = rng_.NextGaussian();
+        break;
+      case Stream::kRankOne: {
+        const double g = rng_.NextGaussian();
+        for (int j = 0; j < c_.d; ++j) row_[j] = g * direction_[j];
+        break;
+      }
+      case Stream::kHeavyAfterLight: {
+        const double scale = i % 150 == 0 ? 40.0 : 1.0;
+        for (int j = 0; j < c_.d; ++j) row_[j] = scale * rng_.NextGaussian();
+        break;
+      }
+    }
+    const double w = NormSquared(row_.data(), c_.d);
+    mass_ += w;
+    // About twice the top sigma^2 of a full residual of unit rows.
+    const double full = 2.0 * (2 * c_.ell + c_.d);
+    switch (c_.theta) {
+      case Theta::kGrowing:  // IWMT_c's eps/2 * (mass read so far)
+        return 0.025 * mass_;
+      case Theta::kShrinking:  // from full to a fifth of it
+        return full * (1.0 - 0.8 * i / c_.rows);
+      case Theta::kFixed:
+        return 0.5 * full;
+      case Theta::kSawtooth:
+        // DA2's theta: a share of the window's mass, which grows with each
+        // row and falls by a step when a block of rows expires.
+        live_ += w;
+        if (i % 40 == 0) live_ *= 0.5;
+        return 0.05 * live_;
+    }
+    return 0.0;
+  }
+
+  [[nodiscard]] const double* row() const { return row_.data(); }
+
+ private:
+  TriggerCase c_;
+  Rng rng_;
+  std::vector<double> direction_;
+  std::vector<double> row_;
+  double mass_ = 0.0;
+  double live_ = 0.0;
 };
 
 class IwmtTrigger : public ::testing::TestWithParam<TriggerCase> {};
@@ -237,51 +297,22 @@ TEST_P(IwmtTrigger, MatchesFullDecompositionReference) {
   const TriggerCase c = GetParam();
   IwmtProtocol iwmt(c.d, c.ell);
   ReferenceIwmt reference(c.d, c.ell);
-  Rng rng(900 + c.d);
-  std::vector<double> direction(c.d);
-  for (int j = 0; j < c.d; ++j) direction[j] = rng.NextGaussian();
-  Scale(direction.data(), c.d,
-        1.0 / std::sqrt(NormSquared(direction.data(), c.d)));
+  TriggerInputs inputs(c);
 
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   const obs::MetricsSnapshot before = obs::Registry().Snapshot();
 
-  std::vector<double> row(c.d);
   std::vector<IwmtOutput> got;
   std::vector<IwmtOutput> want;
-  double mass = 0.0;
   int shrinks = 0;
   for (int i = 1; i <= c.rows; ++i) {
-    switch (c.stream) {
-      case Stream::kIsotropic:
-        for (int j = 0; j < c.d; ++j) row[j] = rng.NextGaussian();
-        break;
-      case Stream::kRankOne: {
-        const double g = rng.NextGaussian();
-        for (int j = 0; j < c.d; ++j) row[j] = g * direction[j];
-        break;
-      }
-      case Stream::kHeavyAfterLight: {
-        const double scale = i % 150 == 0 ? 40.0 : 1.0;
-        for (int j = 0; j < c.d; ++j) row[j] = scale * rng.NextGaussian();
-        break;
-      }
-    }
-    mass += NormSquared(row.data(), c.d);
-    // Growing: IWMT_c's eps/2 * (mass read so far). Shrinking: from about
-    // twice the top sigma^2 of a full residual of unit rows to a fifth of
-    // that over the stream.
-    const double theta =
-        c.theta == Theta::kGrowing
-            ? 0.025 * mass
-            : 2.0 * (2 * c.ell + c.d) * (1.0 - 0.8 * i / c.rows);
-
+    const double theta = inputs.Next(i);
     const int rows_before = iwmt.residual().row_count();
     got.clear();
     want.clear();
-    iwmt.Input(row.data(), theta, &got);
-    reference.Input(row.data(), theta, &want);
+    iwmt.Input(inputs.row(), theta, &got);
+    reference.Input(inputs.row(), theta, &want);
     ExpectSameOutputs(got, want, i);
     if (got.empty()) {
       EXPECT_LT(TopSigmaSquared(iwmt.residual()), theta) << "step " << i;
@@ -314,6 +345,244 @@ TEST_P(IwmtTrigger, MatchesFullDecompositionReference) {
   }
 }
 
+// The trigger as it was before its Cholesky factor outlived a certificate
+// run: every run past the prefilter factors all m new rows afresh at the
+// current theta. It counts its own skips and decompositions.
+class RefactoringIwmt {
+ public:
+  RefactoringIwmt(int d, int ell) : d_(d), residual_(d, ell) {}
+
+  void Input(const double* row, double theta, std::vector<IwmtOutput>* out) {
+    const int before = residual_.row_count();
+    residual_.Append(row);
+    if (residual_.row_count() != before + 1) {
+      FactorShrunkRows(residual_.row_count() - 1);
+    }
+    mass_since_check_ += NormSquared(row, d_);
+    if (last_top_ + mass_since_check_ < (1.0 - kTopMargin) * theta) return;
+    if (CertifiedBelow(theta)) {
+      ++skips_;
+      return;
+    }
+    Decompose(theta, out);
+  }
+
+  void Flush(std::vector<IwmtOutput>* out) {
+    for (int i = 0; i < residual_.row_count(); ++i) {
+      out->push_back(IwmtOutput{std::vector<double>(
+          residual_.Row(i), residual_.Row(i) + d_)});
+    }
+    residual_.Reset();
+    rank_ = 0;
+    Rebase(0);
+  }
+
+  [[nodiscard]] long SpaceWords() const {
+    const long r = rank_;
+    const long m = projected_;
+    return residual_.SpaceWords() + r * (d_ + 1) + m * r + m * (m + 1) / 2;
+  }
+
+  [[nodiscard]] const FrequentDirections& residual() const {
+    return residual_;
+  }
+  [[nodiscard]] long skips() const { return skips_; }
+  [[nodiscard]] long decompositions() const { return decompositions_; }
+
+ private:
+  static constexpr double kTopMargin = 1e-4;
+  static constexpr double kSchurMargin = 1e-6;
+
+  void AllocateFactor() {
+    if (!sigma2_.empty()) return;
+    const int max_rows = 2 * residual_.ell();
+    const int max_rank = std::min(max_rows, d_);
+    basis_ = Matrix(max_rank, d_);
+    sigma2_.assign(max_rank, 0.0);
+    weight_.assign(max_rank, 0.0);
+    proj_ = Matrix(max_rows, max_rank);
+    scaled_ = Matrix(max_rows, max_rank);
+    gram_ = Matrix(max_rows, max_rows);
+    chol_ = Matrix(max_rows, max_rows);
+  }
+
+  void FactorShrunkRows(int rows) {
+    AllocateFactor();
+    rank_ = 0;
+    for (int i = 0; i < rows; ++i) {
+      const double* src = residual_.Row(i);
+      const double s2 = NormSquared(src, d_);
+      if (s2 <= 0.0) continue;
+      double* v = basis_.Row(rank_);
+      const double inv = 1.0 / std::sqrt(s2);
+      for (int j = 0; j < d_; ++j) v[j] = inv * src[j];
+      sigma2_[rank_++] = s2;
+    }
+    Rebase(rows);
+  }
+
+  void Rebase(int rows) {
+    base_rows_ = rows;
+    projected_ = 0;
+    last_top_ = 0.0;
+    for (int k = 0; k < rank_; ++k) {
+      last_top_ = std::max(last_top_, sigma2_[k]);
+    }
+    mass_since_check_ = 0.0;
+  }
+
+  bool CertifiedBelow(double theta) {
+    if (last_top_ > (1.0 - kTopMargin) * theta) return false;
+    AllocateFactor();
+    const int m = residual_.row_count() - base_rows_;
+    for (; projected_ < m; ++projected_) {
+      const double* f = residual_.Row(base_rows_ + projected_);
+      double* z = proj_.Row(projected_);
+      for (int k = 0; k < rank_; ++k) z[k] = Dot(basis_.Row(k), f, d_);
+      double* g = gram_.Row(projected_);
+      for (int b = 0; b <= projected_; ++b) {
+        g[b] = Dot(residual_.Row(base_rows_ + b), f, d_);
+      }
+    }
+    for (int k = 0; k < rank_; ++k) {
+      weight_[k] = std::sqrt(sigma2_[k] / (theta - sigma2_[k]));
+    }
+    for (int i = 0; i < m; ++i) {
+      const double* z = proj_.Row(i);
+      double* zs = scaled_.Row(i);
+      for (int k = 0; k < rank_; ++k) zs[k] = z[k] * weight_[k];
+      double* li = chol_.Row(i);
+      for (int j = 0; j <= i; ++j) {
+        const double s = (i == j ? (1.0 - kSchurMargin) * theta : 0.0) -
+                         gram_(i, j) - Dot(zs, scaled_.Row(j), rank_) -
+                         Dot(li, chol_.Row(j), j);
+        if (j < i) {
+          li[j] = s / chol_(j, j);
+        } else if (s > 0.0) {
+          li[i] = std::sqrt(s);
+        } else {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  void Decompose(double theta, std::vector<IwmtOutput>* out) {
+    ++decompositions_;
+    const RightSvdResult svd = RightSvd(residual_.RowsMatrix());
+    AllocateFactor();
+    const bool emit =
+        !svd.sigma_squared.empty() && svd.sigma_squared[0] >= theta;
+    if (emit) residual_.Reset();
+    rank_ = 0;
+    std::vector<double> scaled(d_);
+    for (size_t i = 0; i < svd.sigma_squared.size(); ++i) {
+      const double s2 = svd.sigma_squared[i];
+      if (s2 <= 0.0) continue;
+      const double* v = svd.vt.Row(static_cast<int>(i));
+      if (emit) {
+        const double s = std::sqrt(s2);
+        for (int j = 0; j < d_; ++j) scaled[j] = s * v[j];
+        if (s2 >= theta / 2.0) {
+          out->push_back(IwmtOutput{scaled});
+          continue;
+        }
+        residual_.Append(scaled.data());
+      }
+      basis_.SetRow(rank_, v);
+      sigma2_[rank_++] = s2;
+    }
+    Rebase(residual_.row_count());
+  }
+
+  int d_;
+  FrequentDirections residual_;
+  double last_top_ = 0.0;
+  double mass_since_check_ = 0.0;
+  int base_rows_ = 0;
+  int rank_ = 0;
+  Matrix basis_;
+  std::vector<double> sigma2_;
+  int projected_ = 0;
+  Matrix proj_;
+  Matrix gram_;
+  std::vector<double> weight_;
+  Matrix scaled_;
+  Matrix chol_;
+  long skips_ = 0;
+  long decompositions_ = 0;
+};
+
+void ExpectIdenticalOutputs(const std::vector<IwmtOutput>& got,
+                            const std::vector<IwmtOutput>& want, int step) {
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (size_t k = 0; k < got.size(); ++k) {
+    ASSERT_EQ(got[k].direction.size(), want[k].direction.size());
+    EXPECT_EQ(std::memcmp(got[k].direction.data(), want[k].direction.data(),
+                          got[k].direction.size() * sizeof(double)),
+              0)
+        << "step " << step << ", direction " << k;
+  }
+}
+
+void ExpectIdenticalResidual(const FrequentDirections& got,
+                             const FrequentDirections& want, int d,
+                             int step) {
+  ASSERT_EQ(got.row_count(), want.row_count()) << "step " << step;
+  for (int i = 0; i < got.row_count(); ++i) {
+    EXPECT_EQ(std::memcmp(got.Row(i), want.Row(i), d * sizeof(double)), 0)
+        << "step " << step << ", row " << i;
+  }
+}
+
+// Extending the certificate's factor instead of refactoring it changes no
+// bit: after every input and flush the emitted directions and the residual
+// rows are memcmp-equal to the refactoring trigger's, SpaceWords agrees,
+// and so does every skip and decomposition.
+TEST_P(IwmtTrigger, MatchesRefactoringCertificate) {
+  const TriggerCase c = GetParam();
+  IwmtProtocol iwmt(c.d, c.ell);
+  RefactoringIwmt reference(c.d, c.ell);
+  TriggerInputs inputs(c);
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const obs::Counter* skips =
+      obs::Registry().GetCounter("core.iwmt.certified_skips");
+  const obs::Counter* decompositions =
+      obs::Registry().GetCounter("core.iwmt.decompositions");
+  const long skips_before = skips->value();
+  const long decompositions_before = decompositions->value();
+
+  std::vector<IwmtOutput> got;
+  std::vector<IwmtOutput> want;
+  for (int i = 1; i <= c.rows; ++i) {
+    const double theta = inputs.Next(i);
+    got.clear();
+    want.clear();
+    iwmt.Input(inputs.row(), theta, &got);
+    reference.Input(inputs.row(), theta, &want);
+    if (c.flush_every > 0 && i % c.flush_every == 0) {
+      iwmt.Flush(&got);
+      reference.Flush(&want);
+    }
+    ExpectIdenticalOutputs(got, want, i);
+    ExpectIdenticalResidual(iwmt.residual(), reference.residual(), c.d, i);
+    ASSERT_EQ(iwmt.SpaceWords(), reference.SpaceWords()) << "step " << i;
+    ASSERT_EQ(skips->value() - skips_before, reference.skips())
+        << "step " << i;
+    ASSERT_EQ(decompositions->value() - decompositions_before,
+              reference.decompositions())
+        << "step " << i;
+  }
+  obs::SetEnabled(was_enabled);
+  EXPECT_GT(reference.decompositions(), 0);
+  if (c.stream != Stream::kRankOne) {
+    EXPECT_GT(reference.skips(), 0);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, IwmtTrigger,
     ::testing::Values(
@@ -332,7 +601,14 @@ INSTANTIATE_TEST_SUITE_P(
         TriggerCase{128, 40, Stream::kHeavyAfterLight, Theta::kShrinking, 0,
                     300},
         TriggerCase{43, 10, Stream::kIsotropic, Theta::kGrowing, 37, 600},
-        TriggerCase{128, 40, Stream::kIsotropic, Theta::kShrinking, 53, 300}));
+        TriggerCase{128, 40, Stream::kIsotropic, Theta::kShrinking, 53, 300},
+        // A constant theta: a failed extension is the full test's failure.
+        TriggerCase{43, 10, Stream::kIsotropic, Theta::kFixed, 0, 600},
+        TriggerCase{128, 40, Stream::kHeavyAfterLight, Theta::kFixed, 0,
+                    300},
+        // Theta falls below the factor's: the certificate refactors.
+        TriggerCase{43, 25, Stream::kIsotropic, Theta::kSawtooth, 0, 600},
+        TriggerCase{128, 40, Stream::kIsotropic, Theta::kSawtooth, 0, 300}));
 
 }  // namespace
 }  // namespace dswm

@@ -205,7 +205,7 @@ TEST(NetFaultRecovery, DelayedFramesLandInsideTrackerCalls) {
     EXPECT_GT(max_in_flight, 0);
 
     const Timestamp drained = rows.back().timestamp + kDelayMax;
-    tracker->AdvanceTime(drained);
+    EXPECT_TRUE(tracker->AdvanceTime(drained).ok());
     exact.Advance(drained);
     EXPECT_EQ(frames_in_flight(drained), 0);
     const double err = ErrorAgainst(exact, *tracker);

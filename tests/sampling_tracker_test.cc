@@ -110,7 +110,7 @@ TEST(SamplingTracker, ExpiryDrainsSamples) {
                     RandomRow(&rng, 4, i)).ok());
   }
   EXPECT_GT(tracker.sample_set_size(), 0);
-  tracker.AdvanceTime(1000);  // everything expires
+  EXPECT_TRUE(tracker.AdvanceTime(1000).ok());  // everything expires
   EXPECT_EQ(tracker.sample_set_size(), 0);
   EXPECT_EQ(tracker.candidate_set_size(), 0);
   EXPECT_EQ(tracker.Query().Rows().rows(), 0);
@@ -244,7 +244,7 @@ TEST(SamplingTracker, BurstyArrivalsKeepInvariant) {
       if (i % 4 == 0) ++t;
     }
     t += 90;  // almost the whole window of silence
-    tracker.AdvanceTime(t);
+    EXPECT_TRUE(tracker.AdvanceTime(t).ok());
     EXPECT_GE(tracker.sample_set_size(), 1);
     EXPECT_LE(tracker.MaxOutstandingKey(), tracker.threshold());
   }

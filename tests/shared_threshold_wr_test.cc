@@ -56,7 +56,7 @@ TEST(SharedThresholdWr, SurvivesFullExpiryAndRefills) {
       if (i % 2 == 0) ++t;
     }
     t += 1000;  // full expiry
-    tracker.AdvanceTime(t);
+    EXPECT_TRUE(tracker.AdvanceTime(t).ok());
     EXPECT_EQ(tracker.SamplersWithSample(), 0);
   }
 }

@@ -61,7 +61,7 @@ TEST_P(SumTrackerProperty, RelativeErrorBoundHolds) {
     const int site = static_cast<int>(rng.NextBelow(sites));
     const double w =
         heavy ? std::exp(3.0 * rng.NextGaussian()) : 1.0 + rng.NextDouble();
-    tracker.AdvanceTime(t);
+    EXPECT_TRUE(tracker.AdvanceTime(t).ok());
     ASSERT_TRUE(tracker.Observe(site, w, t).ok());
     exact.Add(site, w, t);
     if (i % 17 == 0) {
@@ -85,7 +85,7 @@ TEST(SumTracker, EstimateDropsToZeroAfterFullExpiry) {
   EXPECT_TRUE(tracker.Observe(0, 10.0, 1).ok());
   EXPECT_TRUE(tracker.Observe(1, 20.0, 2).ok());
   EXPECT_GT(tracker.Estimate(), 0.0);
-  tracker.AdvanceTime(1000);
+  EXPECT_TRUE(tracker.AdvanceTime(1000).ok());
   EXPECT_DOUBLE_EQ(tracker.Estimate(), 0.0);
 }
 
@@ -94,7 +94,7 @@ TEST(SumTracker, CommunicationScalesLogarithmicallyNotLinearly) {
   SumTracker tracker(1, window, 0.1);
   Rng rng(5);
   for (int i = 1; i <= 20000; ++i) {
-    tracker.AdvanceTime(i);
+    EXPECT_TRUE(tracker.AdvanceTime(i).ok());
     ASSERT_TRUE(tracker.Observe(0, 1.0 + rng.NextDouble(), i).ok());
   }
   // 20000 arrivals, 10 windows: O((1/eps) log(NR)) messages per window is
@@ -110,7 +110,7 @@ TEST(SumTracker, TighterEpsilonCostsMoreCommunication) {
     SumTracker tracker(2, 500, eps);
     Rng rng(6);
     for (int i = 1; i <= 5000; ++i) {
-      tracker.AdvanceTime(i);
+      EXPECT_TRUE(tracker.AdvanceTime(i).ok());
       EXPECT_TRUE(tracker
                       .Observe(static_cast<int>(rng.NextBelow(2)),
                                1.0 + rng.NextDouble(), i)
@@ -165,11 +165,31 @@ TEST(SumTracker, ObserveRejectsBadWeightsAndTimesWithoutStateChange) {
   EXPECT_TRUE(tracker.Observe(0, 1.0, 10).ok());
 }
 
+TEST(SumTracker, AdvanceTimeRejectsATimeBeforeAnySiteClock) {
+  SumTracker tracker(2, 100, 0.1);
+  ASSERT_TRUE(tracker.Observe(0, 4.0, 10).ok());
+  const double estimate = tracker.Estimate();
+  const long words = tracker.Comm().TotalWords();
+
+  // Site 1 is still at tick 0, but site 0 has seen t = 10.
+  EXPECT_EQ(tracker.AdvanceTime(5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.AdvanceTime(-5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tracker.Estimate(), estimate);
+  EXPECT_EQ(tracker.Comm().TotalWords(), words);
+  EXPECT_TRUE(tracker.Observe(0, 1.0, 10).ok());
+
+  EXPECT_TRUE(tracker.AdvanceTime(10).ok());
+  EXPECT_TRUE(tracker.AdvanceTime(1000).ok());
+  EXPECT_EQ(tracker.Observe(1, 1.0, 999).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_DOUBLE_EQ(tracker.Estimate(), 0.0);
+}
+
 TEST(SumTracker, SpaceBoundedBySketchNotStream) {
   SumTracker tracker(1, 5000, 0.1);
   Rng rng(7);
   for (int i = 1; i <= 20000; ++i) {
-    tracker.AdvanceTime(i);
+    EXPECT_TRUE(tracker.AdvanceTime(i).ok());
     ASSERT_TRUE(tracker.Observe(0, 1.0 + rng.NextDouble(), i).ok());
   }
   EXPECT_LT(tracker.MaxSiteSpaceWords(), 3000);  // << 5000 active items

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -160,6 +162,47 @@ TEST_P(ObserveErrors, RejectsMalformedRowsWithoutStateChange) {
   EXPECT_EQ(tracker->Comm().TotalWords(), words_before);
   EXPECT_EQ(tracker->Query().Covariance(), cov_before);
   EXPECT_TRUE(tracker->Observe(1, RowAt(6, 3)).ok());
+}
+
+// The estimate's native matrix, shape and bytes.
+std::string QueryBytes(const DistributedTracker& tracker) {
+  const CovarianceEstimate est = tracker.Query();
+  const Matrix& m = est.NativeIsRows() ? est.Rows() : est.Covariance();
+  std::string bytes(sizeof(double) * m.rows() * m.cols(), '\0');
+  std::memcpy(bytes.data(), m.data(), bytes.size());
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols()) + ":" +
+         bytes;
+}
+
+// AdvanceTime shares Observe's clock. A negative time, an AdvanceTime
+// behind the last row and an Observe behind the last AdvanceTime are
+// rejected, and leave the estimate and the communication as they were.
+TEST_P(ObserveErrors, RejectsClockRegressionInEitherOrder) {
+  auto tracker = SmallTracker(GetParam());
+  EXPECT_EQ(tracker->AdvanceTime(-5).code(), StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(tracker->Observe(0, RowAt(10, 3)).ok());
+  std::string query = QueryBytes(*tracker);
+  long words = tracker->Comm().TotalWords();
+  for (const Timestamp t : {Timestamp{5}, Timestamp{-5}}) {
+    EXPECT_EQ(tracker->AdvanceTime(t).code(), StatusCode::kInvalidArgument)
+        << t;
+    EXPECT_EQ(QueryBytes(*tracker), query) << t;
+    EXPECT_EQ(tracker->Comm().TotalWords(), words) << t;
+  }
+
+  ASSERT_TRUE(tracker->AdvanceTime(20).ok());
+  query = QueryBytes(*tracker);
+  words = tracker->Comm().TotalWords();
+  EXPECT_EQ(tracker->Observe(1, RowAt(15, 3)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(QueryBytes(*tracker), query);
+  EXPECT_EQ(tracker->Comm().TotalWords(), words);
+
+  // Equal and later times remain fine after the rejections.
+  EXPECT_TRUE(tracker->AdvanceTime(20).ok());
+  EXPECT_TRUE(tracker->Observe(1, RowAt(20, 3)).ok());
+  EXPECT_TRUE(tracker->AdvanceTime(21).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ObserveErrors,

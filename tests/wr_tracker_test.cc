@@ -82,7 +82,7 @@ TEST(WithReplacement, ExpiryDrainsAllSamplers) {
   for (int i = 1; i <= 200; ++i) {
     EXPECT_TRUE(tracker.Observe(static_cast<int>(rng.NextBelow(2)), RandomRow(&rng, 4, i)).ok());
   }
-  tracker.AdvanceTime(5000);
+  EXPECT_TRUE(tracker.AdvanceTime(5000).ok());
   EXPECT_EQ(tracker.Query().Rows().rows(), 0);
 }
 

@@ -244,13 +244,16 @@ print(f"metrics overhead OK ({overhead:+.2%}: "
 PY
   rm -f "${OVH_OFF_TMP}" "${OVH_ON_TMP}"
 
-  log "IWMT trigger gate (DA2 decompositions per row)"
+  log "IWMT trigger gate (DA2 decompositions and Cholesky rows per row)"
   cmake --build "${ROOT}/build-release" -j "${JOBS}" --target dswm_cli
   # DA2's IWMT decomposes its residual only when the Schur-complement
   # certificate cannot show the top eigenvalue is below theta (DESIGN.md
   # item 5). The old mass-bound trigger decomposed about once per row on
-  # SYNTHETIC's flat spectrum. The count is deterministic, so a fixed
-  # ceiling catches that trigger's return with no timing noise.
+  # SYNTHETIC's flat spectrum. The certificate extends its Cholesky factor
+  # by the rows appended since its last run; refactoring all of them on
+  # every run planned 37.3 rows per input row here. The counts are
+  # deterministic, so fixed ceilings catch either regression with no
+  # timing noise.
   IWMT_JSON_TMP="$(mktemp "${TMPDIR:-/tmp}/dswm_iwmt_gate.XXXXXX.json")"
   "${ROOT}/build-release/tools/dswm_cli" run --dataset synthetic \
     --algorithm DA2 --epsilon 0.05 --sites 20 --rows 14000 --window 4000 \
@@ -262,12 +265,16 @@ with open(sys.argv[1]) as f:
 rows = 14000
 per_row = counters.get("core.iwmt.decompositions", 0) / rows
 skips = counters.get("core.iwmt.certified_skips", 0)
+chol_per_row = counters.get("core.iwmt.cholesky_rows", 0) / rows
 assert skips > 0, "the IWMT certificate never ran (certified_skips is 0)"
 assert 0 < per_row <= 0.40, (
     f"IWMT decompositions per row {per_row:.3f} exceed the 0.40 ceiling "
     "(the certified trigger makes 0.31 on this run)")
+assert 0 < chol_per_row <= 12, (
+    f"IWMT Cholesky rows per row {chol_per_row:.2f} exceed the 12 ceiling "
+    "(the extended factor plans 7.13 on this run)")
 print(f"IWMT trigger OK ({per_row:.3f} decompositions/row, "
-      f"{skips} certified skips)")
+      f"{skips} certified skips, {chol_per_row:.2f} Cholesky rows/row)")
 PY
   rm -f "${IWMT_JSON_TMP}"
 
