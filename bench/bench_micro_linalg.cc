@@ -1,11 +1,16 @@
 // Microbenchmarks of the linear-algebra substrate (google-benchmark):
 // the kernels that dominate tracker update cost.
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "harness.h"
+#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
 #include "linalg/psd_sqrt.h"
 #include "linalg/spectral_norm.h"
@@ -183,6 +188,53 @@ void BM_SpectralNormPowerIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectralNormPowerIteration)->Arg(43)->Arg(128)->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
+
+// DA1's norm check (core/da1_tracker.cc) from a cold start: Lanczos steps
+// until the top |theta| changes by at most 1e-6 relative, then the top
+// Ritz vector. The "steps" counter is the steps per check.
+void BM_LanczosNormCheck(benchmark::State& state) {
+  const int d = static_cast<int>(state.range(0));
+  const Matrix m = RandomSymmetric(d, 9);
+  const Matrix s = RandomMatrix(1, d, 10);
+  const SymmetricApplyFn apply = [&m](const double* x, double* y) {
+    MatVec(m, x, y);
+  };
+  Lanczos lanczos;
+  std::vector<double> top_vector(d);
+  long steps = 0;
+  for (auto _ : state) {
+    lanczos.Start(s.Row(0), d, 64);
+    double top = 0.0;
+    while (lanczos.Step(apply)) {
+      const double prev = top;
+      top = std::max(lanczos.max_ritz_value(), -lanczos.min_ritz_value());
+      if (lanczos.steps() >= 3 && std::fabs(top - prev) <= 1e-6 * top) break;
+    }
+    lanczos.TopRitzVector(top_vector.data());
+    steps += lanczos.steps();
+    benchmark::DoNotOptimize(top);
+    benchmark::DoNotOptimize(top_vector.data());
+  }
+  state.counters["steps"] = benchmark::Counter(
+      static_cast<double>(steps), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LanczosNormCheck)->Arg(43)->Arg(128)->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
+
+// The certificate's worst case: ||M||_2 = 1 and theta = 1.01, so the
+// Frobenius test fails and both Cholesky factorizations run to the end.
+void BM_CertifyNormBelow(benchmark::State& state) {
+  const int d = static_cast<int>(state.range(0));
+  Matrix m = RandomSymmetric(d, 11);
+  const EigenResult eig = SymmetricEigen(m);
+  Matrix unit(d, d);
+  unit.AddScaled(m, 1.0 / eig.values.front());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CertifyNormBelow(unit, 1.01));
+  }
+}
+BENCHMARK(BM_CertifyNormBelow)->Arg(43)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PsdSqrt(benchmark::State& state) {

@@ -10,8 +10,14 @@
 //
 // Engineering notes (ablatable; DESIGN.md item 4):
 //  * Lazy spectral check -- ||D|| can grow by at most the squared-norm
-//    mass that arrived/expired since the last exact check, so the power
-//    iteration runs only when that bound crosses the threshold.
+//    mass that arrived/expired since the last check, so the norm check
+//    runs only when that bound crosses the threshold.
+//  * Krylov check and decomposition -- the norm check is a Lanczos run on
+//    D, warm-started from the site's last top Ritz vector. When it fires,
+//    the same run is extended until the Ritz pairs above the cut
+//    converge, and they ship only if CertifyNormBelow proves
+//    ||D - sum shipped|| below the cut; otherwise the full d x d
+//    SymmetricEigen decides, as it always did.
 //  * The site covariance C is maintained incrementally: arrivals add
 //    a^T a; a dropped mEH bucket subtracts its sketch covariance; the
 //    accumulated FD-shrinkage drift is wiped by re-deriving C from the
@@ -27,6 +33,7 @@
 
 #include "core/tracker.h"
 #include "core/tracker_config.h"
+#include "linalg/lanczos.h"
 #include "net/channel.h"
 #include "window/matrix_eh.h"
 
@@ -47,9 +54,11 @@ class Da1Tracker : public DistributedTracker {
   std::string Name() const override { return "DA1"; }
   int Dim() const override { return config_.dim; }
 
-  /// Number of eigendecompositions performed (tests/ablation).
+  /// Number of decompositions (reports) performed (tests/ablation).
   long decompositions() const { return decompositions_; }
-  /// Number of threshold checks that ran the power iteration.
+  /// Decompositions the Krylov path left to SymmetricEigen.
+  long fallbacks() const { return fallbacks_; }
+  /// Number of threshold checks that ran the Lanczos norm check.
   long norm_checks() const { return norm_checks_; }
 
  private:
@@ -59,23 +68,40 @@ class Da1Tracker : public DistributedTracker {
     MatrixExpHistogram meh;
     Matrix c;               // incremental window covariance (site side)
     Matrix c_hat;           // coordinator's view of this site
-    double last_gap_norm;   // ||D|| at the last exact check
+    double last_gap_norm;   // estimate of ||D|| after the last check
     double mass_since_check;
     Timestamp next_rebuild; // wipe incremental drift when passed
-    std::vector<double> warm;  // warm-start vector for the power iteration
+    std::vector<double> warm;  // start of the next norm check's run
   };
 
   void NoteExpirations(SiteState* st, Timestamp t);
   void MaybeReport(int site, SiteState* st, Timestamp t);
+  double CheckNorm(const std::vector<double>& warm);
+  bool StepRun();
+  bool RitzPairsConverged(double send_cut) const;
+  void KeepTopRitzVector(SiteState* st);
+  bool ShipRitzPairs(int site, SiteState* st, double send_cut);
+  void ShipEigenpairs(int site, SiteState* st, double send_cut);
+  void Send(int site, SiteState* st, double lambda, const double* v);
 
   TrackerConfig config_;
   double eps_threshold_;
   std::vector<SiteState> sites_;
   Matrix coordinator_c_hat_;
-  Matrix gap_;  // scratch for D = C - C_hat of the site being checked
+  // Scratch of the site being checked, shared by all sites and sized on
+  // the first check: D = C - C_hat, the Lanczos run on it, its start
+  // vector, the fixed perturbation added to every start, and the Ritz
+  // vectors about to ship.
+  Matrix gap_;
+  SymmetricApplyFn apply_gap_;  // y = D x
+  Lanczos lanczos_;
+  std::vector<double> start_;
+  std::vector<double> dash_;
+  std::vector<double> ritz_;  // row-major
   Timestamp now_;
   std::unique_ptr<net::Channel> channel_;
   long decompositions_ = 0;
+  long fallbacks_ = 0;
   long norm_checks_ = 0;
 };
 

@@ -171,19 +171,22 @@ void Tridiagonalize(Matrix* a_ptr, std::vector<double>* diag,
   }
 }
 
-// Implicit-shift QL iteration on the tridiagonal (diag, sub). `zt` holds
-// the accumulated transformation with basis vectors as ROWS (zt = Q^T),
-// so each Givens update rotates a contiguous row pair (RotateRows) -- the
-// O(d^3) hot path of the decomposition. Returns false if an eigenvalue fails
-// to converge within the iteration cap (then the caller falls back to
-// Jacobi; QL failure is essentially theoretical for symmetric input).
-bool TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
-                   Matrix* zt_ptr) {
+}  // namespace
+
+// Implicit-shift QL iteration on the tridiagonal (diag, sub). In
+// SymmetricEigen `zt` starts as Q^T, the accumulated transformation with
+// basis vectors as ROWS, so each Givens update rotates a contiguous row
+// pair (RotateRows) -- the O(d^3) hot path of the decomposition. A failed
+// convergence (-1) sends SymmetricEigen to Jacobi; QL failure is
+// essentially theoretical for symmetric input.
+int TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
+                  Matrix* zt_ptr) {
   std::vector<double>& d = *diag;
   std::vector<double>& e = *sub;
   Matrix& zt = *zt_ptr;
   const int n = static_cast<int>(d.size());
-  if (n == 0) return true;
+  int iterations = 0;
+  if (n == 0) return iterations;
   for (int i = 1; i < n; ++i) e[i - 1] = e[i];
   e[n - 1] = 0.0;
   for (int l = 0; l < n; ++l) {
@@ -198,8 +201,8 @@ bool TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
         ++m;
       }
       if (m == l) break;
-      if (iter++ == 50) return false;
-      DSWM_OBS_COUNT("linalg.eigen.ql_iterations", 1);
+      if (iter++ == 50) return -1;
+      ++iterations;
       // Wilkinson-style shift from the leading 2x2.
       double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
       double r = std::hypot(g, 1.0);
@@ -226,7 +229,7 @@ bool TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        RotateRows(s, c, zt.Row(i), zt.Row(i + 1), n);
+        RotateRows(s, c, zt.Row(i), zt.Row(i + 1), zt.cols());
       }
       if (r == 0.0 && i >= l) continue;
       d[l] -= p;
@@ -234,8 +237,10 @@ bool TridiagonalQL(std::vector<double>* diag, std::vector<double>* sub,
       e[m] = 0.0;
     }
   }
-  return true;
+  return iterations;
 }
+
+namespace {
 
 // Cyclic Jacobi fallback: robust, unconditionally convergent, but ~4-5x
 // slower than tridiagonal QL at the sizes the sketch layer uses. `a` is
@@ -357,7 +362,9 @@ EigenResult SymmetricEigen(const Matrix& input) {
   for (int i = 0; i < d; ++i) {
     for (int j = 0; j < d; ++j) zt(i, j) = a(j, i);
   }
-  if (TridiagonalQL(&diag, &sub, &zt)) {
+  const int iterations = TridiagonalQL(&diag, &sub, &zt);
+  if (iterations >= 0) {
+    DSWM_OBS_COUNT("linalg.eigen.ql_iterations", iterations);
     return SortDescending(&diag, &zt);
   }
 

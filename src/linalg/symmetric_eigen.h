@@ -1,7 +1,7 @@
 // Symmetric eigendecomposition via Householder tridiagonalization +
 // implicit-shift QL (cyclic Jacobi kept as a convergence fallback).
 //
-// Workhorse used by: DA1's decomposition of D = C - C_hat (Algorithm 4),
+// Workhorse used by: DA1's exact fallback for D = C - C_hat (Algorithm 4),
 // the thin SVD (on the Gram matrix of the short side), the PSD matrix
 // square root at the coordinator, and the IWMT significant-direction
 // extraction.
@@ -29,6 +29,19 @@ struct EigenResult {
 /// Falls back to cyclic Jacobi sweeps if QL fails to converge (essentially
 /// theoretical for symmetric input). Accurate to machine precision.
 [[nodiscard]] EigenResult SymmetricEigen(const Matrix& a);
+
+/// Implicit-shift QL on the symmetric tridiagonal matrix with diagonal
+/// `diag` and subdiagonal `sub` (sub[i] = T(i, i-1); sub[0] is ignored),
+/// both of length n. On return `diag` holds the eigenvalues, unordered, and
+/// `sub` is destroyed. Each Givens rotation of rows (i, i+1) of T is also
+/// applied to rows i and i+1 of `zt` (at least n rows, any width): started
+/// from the identity, row i ends as the eigenvector of diag[i]; a single
+/// column started at e_j ends holding the j-th component of every
+/// eigenvector. The eigenvalues do not depend on `zt`. Returns the number
+/// of QL iterations, or -1 if an eigenvalue fails to converge within 50
+/// (essentially theoretical).
+[[nodiscard]] int TridiagonalQL(std::vector<double>* diag,
+                                std::vector<double>* sub, Matrix* zt);
 
 /// Largest eigenvalue magnitude max_i |lambda_i|, i.e. the spectral norm of
 /// a symmetric matrix, computed exactly from a full SymmetricEigen

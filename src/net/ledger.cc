@@ -84,19 +84,4 @@ void MessageLedger::AppendJsonl(std::string* out) const {
   }
 }
 
-Status MessageLedger::WriteJsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open trace file: " + path);
-  }
-  std::string text;
-  AppendJsonl(&text);
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != text.size() || close_rc != 0) {
-    return Status::IoError("short write to trace file: " + path);
-  }
-  return Status::OK();
-}
-
 }  // namespace dswm::net

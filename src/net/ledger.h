@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "monitor/comm_stats.h"
 #include "net/wire.h"
 
@@ -81,9 +80,6 @@ class MessageLedger {
 
   /// Appends one JSON object per entry ("\n"-terminated) to `out`.
   void AppendJsonl(std::string* out) const;
-
-  /// Writes the JSONL trace to `path` (truncating).
-  [[nodiscard]] Status WriteJsonl(const std::string& path) const;
 
  private:
   std::vector<LedgerEntry> entries_;

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "linalg/bidiag_svd.h"
+#include "linalg/lanczos.h"
 #include "linalg/spectral_norm.h"
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
@@ -70,13 +71,19 @@ TEST(SpectralCrossValidation, ThreeEstimatorsAgree) {
     const Matrix c = GramTranspose(a);
     const double exact = SpectralNormExact(c);
     const double power = SpectralNormSym(c);
-    std::vector<double> warm;
-    const double warm_est = SpectralNormSymWarm(
-        [&c](const double* x, double* y) { MatVec(c, x, y); }, d, &warm,
-        300, 1e-10);
+    // Lanczos run to the full dimension: its Ritz values are eigenvalues.
+    Lanczos lanczos;
+    const std::vector<double> start(d, 1.0);
+    lanczos.Start(start.data(), d, d);
+    while (lanczos.Step(
+        [&c](const double* x, double* y) { MatVec(c, x, y); })) {
+    }
+    ASSERT_TRUE(lanczos.SolveRitz());
+    const double krylov =
+        std::fabs(lanczos.ritz_values()[lanczos.TopIndex()]);
     const double svd_based = BidiagonalSvd(a).sigma[0];
     EXPECT_NEAR(power, exact, 1e-5 * exact);
-    EXPECT_NEAR(warm_est, exact, 1e-4 * exact);
+    EXPECT_NEAR(krylov, exact, 1e-10 * exact);
     EXPECT_NEAR(svd_based * svd_based, exact, 1e-6 * exact);
   }
 }

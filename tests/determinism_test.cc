@@ -268,7 +268,7 @@ std::vector<DigestCase> Cases() {
       {"synthetic-PWOR-ALL", A::kPworAll, Grid(kSyn), 0x87dda9b320394ecc},
       {"synthetic-ESWOR", A::kEswor, Grid(kSyn), 0xe8b498f569a63383},
       {"synthetic-ESWOR-ALL", A::kEsworAll, Grid(kSyn), 0x7799cb8998d0a139},
-      {"synthetic-DA1", A::kDa1, Grid(kSyn), 0x4d2c1556b8363bb9},
+      {"synthetic-DA1", A::kDa1, Grid(kSyn), 0x25d1459c50db2fe1},
       {"synthetic-DA2", A::kDa2, Grid(kSyn), 0x13f8163c03b8a321},
       {"synthetic-PWR", A::kPwr, Grid(kSyn), 0xf2035eaadb295ba0},
       {"synthetic-ESWR", A::kEswr, Grid(kSyn), 0xde515d5d1f8c585d},
@@ -279,7 +279,7 @@ std::vector<DigestCase> Cases() {
       {"pamap-PWOR-ALL", A::kPworAll, Grid(kPamap), 0xb980a75891df672b},
       {"pamap-ESWOR", A::kEswor, Grid(kPamap), 0x8d4c97235c8167e8},
       {"pamap-ESWOR-ALL", A::kEsworAll, Grid(kPamap), 0x962f9e645d5ca3cf},
-      {"pamap-DA1", A::kDa1, Grid(kPamap), 0xbefe2240671adc17},
+      {"pamap-DA1", A::kDa1, Grid(kPamap), 0x9195f65f8e25b344},
       {"pamap-DA2", A::kDa2, Grid(kPamap), 0x1e116dcce2f5397f},
       {"pamap-PWR", A::kPwr, Grid(kPamap), 0xdfbcd38ac822e97c},
       {"pamap-ESWR", A::kEswr, Grid(kPamap), 0x77fdf606692c8cb9},
@@ -297,28 +297,28 @@ std::vector<DigestCase> Cases() {
       {"wiki-ESWR-ST", A::kEswrShared, Grid(kWiki), 0x6265c06e0f281ef2},
       {"wiki-CENTRAL", A::kCentral, Grid(kWiki), 0x428d755530f81daf},
       {"wire-da2", A::kDa2, Wire(kSyn, 500), 0xee0eee847b31901e},
-      {"wire-da1", A::kDa1, Wire(kSyn, 500), 0x9ee0b52f2f4c6e93},
+      {"wire-da1", A::kDa1, Wire(kSyn, 500), 0x24440bd401cc1dc7},
       {"wire-pwor", A::kPwor, Wire(kWiki, 50), 0x52f95ac1e67e3631},
       {"wire-central", A::kCentral, Wire(kPamap, 500), 0x016bf2d944192696},
-      {"xtree-synthetic-DA1", A::kDa1, Xtree(kSyn), 0x994609e6bd2b874f},
+      {"xtree-synthetic-DA1", A::kDa1, Xtree(kSyn), 0xc4793b56e39d0e05},
       {"xtree-synthetic-DA2", A::kDa2, Xtree(kSyn), 0x997886057a767e97},
       {"xtree-pamap-CENTRAL", A::kCentral, Xtree(kPamap), 0x53a0e77d94f08be9},
       {"xtree-pamap-DA2", A::kDa2, Xtree(kPamap), 0x4c6c02fc33dcc748},
       {"xtree-wiki-PWOR", A::kPwor, Xtree(kWiki), 0xf5801869ffe0d3c3},
       {"pamap-PWOR-drop", A::kPwor, Faulty(Fault::kDrop), 0xa2c10b2a79aced5e},
-      {"pamap-DA1-drop", A::kDa1, Faulty(Fault::kDrop), 0xae4f94e92ed10a4c},
+      {"pamap-DA1-drop", A::kDa1, Faulty(Fault::kDrop), 0x8915323ea80c1131},
       {"pamap-DA2-drop", A::kDa2, Faulty(Fault::kDrop), 0x69bb1c28ce828bd6},
       {"pamap-CENTRAL-drop", A::kCentral, Faulty(Fault::kDrop),
        0xe88abca82bc51ef4},
       {"pamap-PWOR-delay", A::kPwor, Faulty(Fault::kDelay), 0x95a1b9eca7184609},
-      {"pamap-DA1-delay", A::kDa1, Faulty(Fault::kDelay), 0xd264c2150bfa3e03},
+      {"pamap-DA1-delay", A::kDa1, Faulty(Fault::kDelay), 0xc4c27d9fdad5c79a},
       {"pamap-DA2-delay", A::kDa2, Faulty(Fault::kDelay), 0xeb36dad89eff1069},
       {"pamap-CENTRAL-delay", A::kCentral, Faulty(Fault::kDelay),
        0x730de80a43e0dab7},
       {"perf-da2-synthetic", A::kDa2, Perf(kSyn, 128, 2800, 800),
        0x3f03fc5327ba6602},
       {"perf-da1-synthetic", A::kDa1, Perf(kSyn, 128, 210, 60),
-       0xa55836f455112179},
+       0x05fa3f98e27615da},
       {"perf-pwor-wiki", A::kPwor, Perf(kWiki, 512, 1050, 15),
        0xf9593d43274e3709},
       {"perf-central-pamap", A::kCentral, Perf(kPamap, 43, 3500, 1000),

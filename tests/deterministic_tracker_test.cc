@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "core/da1_tracker.h"
 #include "core/da2_tracker.h"
+#include "linalg/symmetric_eigen.h"
 #include "sketch/covariance.h"
 #include "stream/pamap_like.h"
 #include "stream/synthetic.h"
@@ -351,6 +352,75 @@ TEST(Da1, ExpiryOnlyStreamDrainsEstimate) {
   const Matrix cov = tracker.Query().Covariance();
   // After full expiry the site must have reported the (negative) change.
   EXPECT_LT(std::sqrt(cov.FrobeniusNormSquared()), 0.25 * mass);
+}
+
+struct FallbackStats {
+  long checked = 0;    // fallbacks compared with SymmetricEigen
+  long most_sent = 0;  // most pairs one of them shipped
+  long decompositions = 0;
+};
+
+// Feeds rows along 90 coordinate directions of d = 96, round robin, all
+// at one timestamp, so D = C - C_hat grows in all of them at once; row i
+// has squared norm 1 + spread * (i % 90). After every report that fell
+// back to SymmetricEigen, the coordinator's estimate must equal, bit for
+// bit, the estimate before it plus the top eigenpairs of
+// SymmetricEigen(C - C_hat), as many as were sent. C is rebuilt here by
+// the site's own rank-one updates, and with one loss-free site the
+// coordinator's C_hat is the site's.
+FallbackStats CheckFallbacksShipSymmetricEigenPairs(double spread) {
+  const int d = 96;
+  const int directions = 90;
+  Da1Tracker tracker(Config(d, 1, 1000000, 0.02));
+  Matrix c(d, d);
+  TimedRow row;
+  row.timestamp = 1;
+  FallbackStats stats;
+  for (int r = 0; r < 8 * directions; ++r) {
+    row.values.assign(d, 0.0);
+    row.values[r % directions] = std::sqrt(1.0 + spread * (r % directions));
+    c.AddOuterProduct(row.values.data(), 1.0);
+    const Matrix c_hat = tracker.Query().Covariance();
+    const long fallbacks = tracker.fallbacks();
+    const long messages = tracker.Comm().messages;
+    EXPECT_TRUE(tracker.Observe(0, row).ok());
+    if (tracker.fallbacks() == fallbacks) continue;
+    Matrix gap = c;
+    gap.AddScaled(c_hat, -1.0);
+    const EigenResult eig = SymmetricEigen(gap);
+    const long sent = tracker.Comm().messages - messages;
+    EXPECT_GT(sent, 0);
+    Matrix expected = c_hat;
+    for (int i = 0; i < sent; ++i) {
+      expected.AddOuterProduct(eig.vectors.Row(i), eig.values[i]);
+    }
+    EXPECT_TRUE(expected == tracker.Query().Covariance()) << "row " << r;
+    stats.most_sent = std::max(stats.most_sent, sent);
+    ++stats.checked;
+  }
+  stats.decompositions = tracker.decompositions();
+  return stats;
+}
+
+// Distinct but clustered norms: more eigenvalues clear the cut than a
+// Lanczos run converges within its 64-step cap, so the cap sends these
+// reports to SymmetricEigen.
+TEST(Da1, FallbackShipsSymmetricEigenPairsBitForBit) {
+  const FallbackStats stats = CheckFallbacksShipSymmetricEigenPairs(0.01);
+  EXPECT_GT(stats.checked, 0);
+  EXPECT_GT(stats.most_sent, 64);
+  // The Krylov path shipped the other reports.
+  EXPECT_GT(stats.decompositions, stats.checked);
+}
+
+// Equal norms: the eigenvalue above the cut is repeated, and a Lanczos
+// run sees one copy of it (it converges, or breaks down, within a few
+// steps). Only the certificate on D - sum shipped can tell that the other
+// copies were missed, and it sends the report to SymmetricEigen.
+TEST(Da1, CertificateCatchesARepeatedEigenvalue) {
+  const FallbackStats stats = CheckFallbacksShipSymmetricEigenPairs(0.0);
+  EXPECT_GT(stats.checked, 0);
+  EXPECT_GT(stats.most_sent, 1);
 }
 
 TEST(Da1, ConstantRowsLowRankStream) {

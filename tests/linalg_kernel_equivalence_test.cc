@@ -11,6 +11,9 @@
 // bodies those kernels had before they were vectorized. Every output
 // element must come from the same IEEE operations in the same order, so
 // eigenvalues and eigenvectors are compared with memcmp.
+//
+// The Krylov primitives (Lanczos, CertifyNormBelow) are checked against
+// SymmetricEigen on the same matrix families: to rounding, not bitwise.
 
 #include <algorithm>
 #include <cfloat>
@@ -25,7 +28,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
+#include "linalg/spectral_norm.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace dswm {
@@ -522,6 +527,180 @@ TEST_P(DenseKernelEquivalence, RankOneAndScaledUpdatesBitIdenticalToOracle) {
 INSTANTIATE_TEST_SUITE_P(Dims, DenseKernelEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31,
                                            43, 127, 128, 129, 200));
+
+// The symmetric part, as SymmetricEigen takes it.
+Matrix SymmetricPart(const Matrix& a) {
+  const int d = a.rows();
+  Matrix s(d, d);
+  for (int i = 0; i < d; ++i) {
+    for (int j = 0; j < d; ++j) s(i, j) = 0.5 * (a(i, j) + a(j, i));
+  }
+  return s;
+}
+
+double NormOf(const EigenResult& eig) {
+  return std::max(std::fabs(eig.values.front()), std::fabs(eig.values.back()));
+}
+
+std::vector<double> GaussianVector(int d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(d);
+  for (double& x : v) x = rng.NextGaussian();
+  return v;
+}
+
+// Runs Lanczos on m from `start` until it breaks down or takes max_steps.
+void RunLanczos(const Matrix& m, const std::vector<double>& start,
+                int max_steps, Lanczos* lanczos) {
+  lanczos->Start(start.data(), m.rows(), max_steps);
+  while (lanczos->Step(
+      [&m](const double* x, double* y) { MatVec(m, x, y); })) {
+  }
+  ASSERT_TRUE(lanczos->SolveRitz());
+}
+
+class KrylovAgainstEigen : public ::testing::TestWithParam<int> {};
+
+// Run to the end (breakdown or d steps), the extreme Ritz values are the
+// extreme eigenvalues.
+TEST_P(KrylovAgainstEigen, LanczosExtremeRitzValuesMatchEigenvalues) {
+  const int d = GetParam();
+  for (const EigenInput& input : EigenInputs(d)) {
+    SCOPED_TRACE(input.name);
+    const Matrix m = SymmetricPart(input.matrix);
+    const EigenResult eig = SymmetricEigen(input.matrix);
+    const double tol = 1e-12 * NormOf(eig);
+    Lanczos lanczos;
+    RunLanczos(m, GaussianVector(d, 70 + d), d, &lanczos);
+    EXPECT_NEAR(lanczos.ritz_values().front(), eig.values.front(), tol);
+    EXPECT_NEAR(lanczos.ritz_values().back(), eig.values.back(), tol);
+    EXPECT_NEAR(std::fabs(lanczos.ritz_values()[lanczos.TopIndex()]),
+                NormOf(eig), tol);
+    // The extremes each step tracks in O(k) agree.
+    EXPECT_NEAR(lanczos.max_ritz_value(), eig.values.front(), tol);
+    EXPECT_NEAR(lanczos.min_ritz_value(), eig.values.back(), tol);
+  }
+}
+
+// Part way through a run, each reported residual beta |s_k| is the true
+// ||A y - theta y|| of its unit Ritz vector.
+TEST_P(KrylovAgainstEigen, LanczosResidualsAreTrueResiduals) {
+  const int d = GetParam();
+  for (const EigenInput& input : EigenInputs(d)) {
+    SCOPED_TRACE(input.name);
+    const Matrix m = SymmetricPart(input.matrix);
+    const double tol = 1e-10 * NormOf(SymmetricEigen(input.matrix));
+    Lanczos lanczos;
+    RunLanczos(m, GaussianVector(d, 80 + d), std::min(d, 8), &lanczos);
+    std::vector<double> y(d);
+    std::vector<double> my(d);
+    for (int i = 0; i < lanczos.steps(); ++i) {
+      lanczos.RitzVector(i, y.data());
+      const double theta = lanczos.ritz_values()[i];
+      MatVec(m, y.data(), my.data());
+      Axpy(-theta, y.data(), my.data(), d);
+      EXPECT_NEAR(std::sqrt(NormSquared(y.data(), d)), 1.0, 1e-12);
+      EXPECT_NEAR(std::sqrt(NormSquared(my.data(), d)),
+                  lanczos.residuals()[i], tol)
+          << "pair " << i;
+    }
+    // The O(k) extremes and top Ritz vector are the QL's, part way too.
+    EXPECT_NEAR(lanczos.max_ritz_value(), lanczos.ritz_values().front(), tol);
+    EXPECT_NEAR(lanczos.min_ritz_value(), lanczos.ritz_values().back(), tol);
+    const bool use_max = std::fabs(lanczos.max_ritz_value()) >=
+                         std::fabs(lanczos.min_ritz_value());
+    const int top = use_max ? 0 : lanczos.steps() - 1;
+    lanczos.TopRitzVector(y.data());
+    MatVec(m, y.data(), my.data());
+    Axpy(-lanczos.ritz_values()[top], y.data(), my.data(), d);
+    EXPECT_NEAR(std::sqrt(NormSquared(y.data(), d)), 1.0, 1e-12);
+    EXPECT_NEAR(std::sqrt(NormSquared(my.data(), d)),
+                lanczos.residuals()[top], tol);
+  }
+}
+
+// Never true at or below the exact norm, even 1e-12 below it; true once
+// theta clears the 1e-6 margin.
+TEST_P(KrylovAgainstEigen, CertifyNormBelowNeverTrueBelowNorm) {
+  const int d = GetParam();
+  for (const EigenInput& input : EigenInputs(d)) {
+    SCOPED_TRACE(input.name);
+    const Matrix m = SymmetricPart(input.matrix);
+    const double norm = NormOf(SymmetricEigen(input.matrix));
+    for (const double sign : {1.0, -1.0}) {
+      Matrix signed_m = m;
+      signed_m.AddScaled(m, sign - 1.0);
+      EXPECT_FALSE(CertifyNormBelow(signed_m, norm * (1.0 - 1e-12)));
+      EXPECT_FALSE(CertifyNormBelow(signed_m, norm));
+      EXPECT_FALSE(CertifyNormBelow(signed_m, norm * (1.0 + 1e-12)));
+      EXPECT_TRUE(CertifyNormBelow(signed_m,
+                                   norm > 0.0 ? norm * (1.0 + 1e-5) : 1e-300));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, KrylovAgainstEigen,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31,
+                                           43, 127, 128, 129, 200));
+
+// A start vector in an invariant subspace ends the run: one eigenvector
+// after one step, the span of three after three, with exact Ritz pairs.
+TEST(Lanczos, BreaksDownOnInvariantStart) {
+  const int d = 43;
+  const Matrix m = SymmetricGaussian(d, 17);
+  const EigenResult eig = SymmetricEigen(m);
+  const double tol = 1e-12 * NormOf(eig);
+  Lanczos lanczos;
+  std::vector<double> start(eig.vectors.Row(5), eig.vectors.Row(5) + d);
+  RunLanczos(m, start, d, &lanczos);
+  EXPECT_TRUE(lanczos.broke_down());
+  EXPECT_EQ(lanczos.steps(), 1);
+  EXPECT_NEAR(lanczos.ritz_values()[0], eig.values[5], tol);
+  EXPECT_LE(lanczos.residuals()[0], tol);
+
+  for (const int i : {2, 20, 40}) {
+    Axpy(1.0 + i, eig.vectors.Row(i), start.data(), d);
+  }
+  Axpy(-1.0, eig.vectors.Row(5), start.data(), d);
+  RunLanczos(m, start, d, &lanczos);
+  EXPECT_TRUE(lanczos.broke_down());
+  ASSERT_EQ(lanczos.steps(), 3);
+  EXPECT_NEAR(lanczos.ritz_values()[0], eig.values[2], tol);
+  EXPECT_NEAR(lanczos.ritz_values()[1], eig.values[20], tol);
+  EXPECT_NEAR(lanczos.ritz_values()[2], eig.values[40], tol);
+  for (const double r : lanczos.residuals()) EXPECT_LE(r, tol);
+}
+
+// Started near the top eigenvector, the top Ritz value converges in fewer
+// steps than from a generic start, and to the same value.
+TEST(Lanczos, WarmStartConvergesInFewerSteps) {
+  const int d = 128;
+  const Matrix m = SymmetricGaussian(d, 23);
+  const EigenResult eig = SymmetricEigen(m);
+  const double norm = NormOf(eig);
+  const int top = std::fabs(eig.values.front()) >= std::fabs(eig.values.back())
+                      ? 0
+                      : d - 1;
+  const auto steps_to_converge = [&m, norm, d](const std::vector<double>& v) {
+    Lanczos lanczos;
+    lanczos.Start(v.data(), d, d);
+    while (lanczos.Step(
+        [&m](const double* x, double* y) { MatVec(m, x, y); })) {
+      EXPECT_TRUE(lanczos.SolveRitz());
+      const double got =
+          std::fabs(lanczos.ritz_values()[lanczos.TopIndex()]);
+      if (std::fabs(got - norm) <= 1e-10 * norm) return lanczos.steps();
+    }
+    return d + 1;
+  };
+  const int cold = steps_to_converge(GaussianVector(d, 5));
+  std::vector<double> warm(eig.vectors.Row(top), eig.vectors.Row(top) + d);
+  const std::vector<double> noise = GaussianVector(d, 6);
+  Axpy(1e-3, noise.data(), warm.data(), d);
+  const int warm_steps = steps_to_converge(warm);
+  EXPECT_LE(cold, d);
+  EXPECT_LT(warm_steps, cold);
+}
 
 }  // namespace
 }  // namespace dswm

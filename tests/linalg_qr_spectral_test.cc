@@ -87,21 +87,6 @@ TEST(SpectralNorm, ZeroMatrix) {
   EXPECT_DOUBLE_EQ(SpectralNormSym(Matrix(4, 4)), 0.0);
 }
 
-TEST(SpectralNormWarm, ConvergesAndReusesVector) {
-  const Matrix m = RandomSymmetric(10, 4);
-  const double exact = SpectralNormExact(m);
-  std::vector<double> warm;
-  const double first = SpectralNormSymWarm(
-      [&m](const double* x, double* y) { MatVec(m, x, y); }, 10, &warm, 200,
-      1e-10);
-  EXPECT_NEAR(first, exact, 1e-4 * exact);
-  // Second call with warm vector and few iterations stays accurate.
-  const double second = SpectralNormSymWarm(
-      [&m](const double* x, double* y) { MatVec(m, x, y); }, 10, &warm, 5,
-      1e-10);
-  EXPECT_NEAR(second, exact, 1e-3 * exact);
-}
-
 TEST(PsdSqrt, RoundTripsPsdMatrix) {
   Rng rng(8);
   Matrix b0(5, 7);
