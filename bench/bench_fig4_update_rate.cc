@@ -3,7 +3,7 @@
 //
 // Paper shapes: deterministic protocols are fastest at small d (PAMAP)
 // but their rate collapses as d grows (matrix factorizations); sampling
-// rates are insensitive to d; DA1 cannot finish WIKI at all.
+// rates are insensitive to d.
 
 #include <cstdio>
 
@@ -18,10 +18,8 @@ int main() {
   const Workload workloads[] = {MakePamapWorkload(), MakeSyntheticWorkload(),
                                 MakeWikiWorkload()};
 
-  std::printf(
-      "Figure 4(d): update rate (rows/s), eps=%.2f, m=%d  ('-' = excluded: "
-      "DA1 on WIKI, as in the paper)\n\n",
-      eps, m);
+  std::printf("Figure 4(d): update rate (rows/s), eps=%.2f, m=%d\n\n", eps,
+              m);
   std::printf("%-10s", "algorithm");
   for (const Workload& w : workloads) std::printf(" %12s", w.name.c_str());
   std::printf("\n");
@@ -29,10 +27,6 @@ int main() {
   for (Algorithm a : PaperAlgorithms()) {
     std::printf("%-10s", AlgorithmName(a));
     for (const Workload& w : workloads) {
-      if (a == Algorithm::kDa1 && w.name == "WIKI") {
-        std::printf(" %12s", "-");
-        continue;
-      }
       const RunResult r = RunCell(a, w, eps, m);
       std::printf(" %12.0f", r.update_rows_per_sec);
       std::fflush(stdout);

@@ -169,7 +169,7 @@ void BM_SymmetricEigen(benchmark::State& state) {
 BENCHMARK(BM_SymmetricEigen)->Arg(16)->Arg(43)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ThinSvdShortSide(benchmark::State& state) {
+void BM_RightSvdShortSide(benchmark::State& state) {
   // The FD shrink shape: few rows, many columns.
   const int rows = static_cast<int>(state.range(0));
   const Matrix m = RandomMatrix(rows, 512, 4);
@@ -177,7 +177,7 @@ void BM_ThinSvdShortSide(benchmark::State& state) {
     benchmark::DoNotOptimize(RightSvd(m).vt.data());
   }
 }
-BENCHMARK(BM_ThinSvdShortSide)->Arg(16)->Arg(64)->Arg(128)
+BENCHMARK(BM_RightSvdShortSide)->Arg(16)->Arg(64)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SpectralNormPowerIteration(benchmark::State& state) {

@@ -3,13 +3,7 @@
 #include <cmath>
 #include <string>
 
-#include "net/channel.h"
-
 namespace dswm {
-
-void DistributedTracker::PumpChannels(Timestamp t) {
-  for (net::Channel* channel : Channels()) channel->AdvanceTime(t);
-}
 
 Status DistributedTracker::ValidateObserve(int site, int num_sites,
                                            const TimedRow& row) {

@@ -42,8 +42,9 @@ struct TrackerConfig {
   SamplingProtocol protocol = SamplingProtocol::kLazyBroadcast;
 
   /// DA1: skip the spectral-norm check until the accumulated arrived or
-  /// expired squared-norm mass could possibly cross the threshold (sound
-  /// short-circuit; see DESIGN.md). Off = re-check on every row.
+  /// expired squared-norm mass could cross the threshold. Sound only as far
+  /// as last_gap_norm, a lower-bound estimate of ||D||, is (DESIGN.md item
+  /// 4). Off = re-check on every row.
   bool da1_lazy_norm_check = true;
 
   /// DA2: flush the forward IWMT residual at window boundaries so

@@ -1,6 +1,5 @@
 #include "linalg/batched.h"
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -32,27 +31,6 @@ void BatchedDispatch(int count, const std::function<void(int)>& body) {
     ThreadPool::NestedInlineScope inline_scope;
     for (int i = begin; i < end; ++i) body(i);
   });
-}
-
-std::vector<EigenResult> BatchedSymEigen(const Matrix* const* problems,
-                                         int count) {
-  std::vector<EigenResult> results(count > 0 ? count : 0);
-  if (count <= 0) return results;
-  const int d = problems[0]->rows();
-  for (int i = 0; i < count; ++i) {
-    DSWM_CHECK_EQ(problems[i]->rows(), d);
-    DSWM_CHECK_EQ(problems[i]->cols(), d);
-  }
-  RecordBatchSize(count);
-  BatchedDispatch(count, [problems, &results](int i) {
-    results[i] = SymmetricEigen(*problems[i]);
-  });
-  return results;
-}
-
-std::vector<EigenResult> BatchedSymEigen(
-    const std::vector<const Matrix*>& problems) {
-  return BatchedSymEigen(problems.data(), static_cast<int>(problems.size()));
 }
 
 void BatchedFdShrink(FdShrinkJob* jobs, int count) {

@@ -25,8 +25,6 @@
 #include <functional>
 #include <vector>
 
-#include "linalg/symmetric_eigen.h"
-
 namespace dswm {
 
 class FrequentDirections;
@@ -35,14 +33,6 @@ class FrequentDirections;
 /// dispatch (none when count <= 1). body must write only state owned by
 /// index i; bodies run concurrently on disjoint index ranges.
 void BatchedDispatch(int count, const std::function<void(int)>& body);
-
-/// Eigendecomposes `count` symmetric matrices of one common dimension.
-/// results[i] == SymmetricEigen(*problems[i]) bitwise; count == 0 yields
-/// an empty vector. All problems must be square with equal dimension.
-[[nodiscard]] std::vector<EigenResult> BatchedSymEigen(
-    const Matrix* const* problems, int count);
-[[nodiscard]] std::vector<EigenResult> BatchedSymEigen(
-    const std::vector<const Matrix*>& problems);
 
 /// One deferred FrequentDirections maintenance job: merge `sources` into
 /// `fd` in order (each merge replays the embedded shrink schedule exactly

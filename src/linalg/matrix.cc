@@ -1,7 +1,6 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 
 #if defined(__AVX__)
 #include <immintrin.h>
@@ -61,15 +60,6 @@ void Matrix::AppendRow(const double* src, int len) {
   DSWM_CHECK_EQ(len, cols_);
   data_.insert(data_.end(), src, src + len);
   ++rows_;
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (int i = 0; i < rows_; ++i) {
-    const double* r = Row(i);
-    for (int j = 0; j < cols_; ++j) t(j, i) = r[j];
-  }
-  return t;
 }
 
 double Matrix::FrobeniusNormSquared() const {
@@ -720,28 +710,6 @@ Matrix GramReference(const Matrix& a) {
     }
   }
   return g;
-}
-
-Matrix Subtract(const Matrix& a, const Matrix& b) {
-  DSWM_CHECK_EQ(a.rows(), b.rows());
-  DSWM_CHECK_EQ(a.cols(), b.cols());
-  Matrix c = a;
-  c.AddScaled(b, -1.0);
-  return c;
-}
-
-double MaxAbsDiff(const Matrix& a, const Matrix& b) {
-  DSWM_CHECK_EQ(a.rows(), b.rows());
-  DSWM_CHECK_EQ(a.cols(), b.cols());
-  double m = 0.0;
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* ra = a.Row(i);
-    const double* rb = b.Row(i);
-    for (int j = 0; j < a.cols(); ++j) {
-      m = std::max(m, std::fabs(ra[j] - rb[j]));
-    }
-  }
-  return m;
 }
 
 }  // namespace dswm

@@ -116,9 +116,6 @@ class Matrix {
   /// the matrix is empty).
   void AppendRow(const double* src, int len);
 
-  /// Returns the transpose.
-  [[nodiscard]] Matrix Transposed() const;
-
   /// Sum of squared entries, i.e. ||A||_F^2.
   [[nodiscard]] double FrobeniusNormSquared() const;
 
@@ -203,12 +200,6 @@ void MatTVec(const Matrix& a, const double* x, double* y);
 
 /// Dot-product oracle for Gram (the pre-blocking kernel).
 [[nodiscard]] Matrix GramReference(const Matrix& a);
-
-/// Returns A - B (same shape).
-[[nodiscard]] Matrix Subtract(const Matrix& a, const Matrix& b);
-
-/// Max absolute entry difference; used by tests.
-[[nodiscard]] double MaxAbsDiff(const Matrix& a, const Matrix& b);
 
 }  // namespace dswm
 

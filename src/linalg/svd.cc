@@ -61,34 +61,4 @@ RightSvdResult RightSvd(const Matrix& a) {
   return result;
 }
 
-SvdResult ThinSvd(const Matrix& a, double rel_tol) {
-  SvdResult result;
-  const int n = a.rows();
-  const int d = a.cols();
-  RightSvdResult right = RightSvd(a);
-  const int r_full = static_cast<int>(right.sigma_squared.size());
-  const double sigma_max =
-      r_full > 0 ? std::sqrt(std::max(right.sigma_squared[0], 0.0)) : 0.0;
-  const double cutoff = std::max(rel_tol * sigma_max, 0.0);
-
-  int r = 0;
-  while (r < r_full && std::sqrt(right.sigma_squared[r]) > cutoff) ++r;
-
-  result.sigma.resize(r);
-  result.vt = Matrix(r, d);
-  result.u = Matrix(n, r);
-  for (int i = 0; i < r; ++i) {
-    result.sigma[i] = std::sqrt(right.sigma_squared[i]);
-    result.vt.SetRow(i, right.vt.Row(i));
-  }
-  // u_i = A v_i / sigma_i.
-  std::vector<double> col(n);
-  for (int i = 0; i < r; ++i) {
-    MatVec(a, result.vt.Row(i), col.data());
-    const double inv = 1.0 / result.sigma[i];
-    for (int k = 0; k < n; ++k) result.u(k, i) = col[k] * inv;
-  }
-  return result;
-}
-
 }  // namespace dswm

@@ -1,4 +1,4 @@
-// Thin singular value decomposition via the Gram matrix of the short side.
+// Right singular vectors via the Gram matrix of the short side.
 //
 // For an n x d matrix the decomposition costs O(min(n,d)^3 + n*d*min(n,d)).
 // This keeps Frequent Directions cheap even at large d (it decomposes the
@@ -17,24 +17,6 @@
 #include "linalg/matrix.h"
 
 namespace dswm {
-
-/// Thin SVD A = U diag(sigma) Vt with singular values sorted descending.
-struct SvdResult {
-  /// n x r left singular vectors (columns orthonormal).
-  Matrix u;
-  /// r nonnegative singular values, descending.
-  std::vector<double> sigma;
-  /// r x d matrix whose row i is the right singular vector v_i.
-  Matrix vt;
-};
-
-/// Computes the thin SVD of `a`. Singular values below
-/// `rel_tol * sigma_max` are dropped (rank truncation); pass 0 to keep all
-/// numerically-nonzero values. The default sits above the Gram-route noise
-/// floor: eigenvalues of A A^T carry ~eps * lambda_max absolute error, so
-/// sigmas below ~sqrt(eps) * sigma_max (~1.5e-8) are indistinguishable
-/// from zero here. Use BidiagonalSvd to resolve smaller singular values.
-[[nodiscard]] SvdResult ThinSvd(const Matrix& a, double rel_tol = 1e-7);
 
 /// Right singular vectors and *squared* singular values of `a`, skipping the
 /// computation of U. This is the exact shape Frequent Directions needs for

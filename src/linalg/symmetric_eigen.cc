@@ -378,11 +378,4 @@ EigenResult SymmetricEigen(const Matrix& input) {
   return SortDescending(&values, &v);
 }
 
-double SpectralNormExact(const Matrix& a) {
-  const EigenResult eig = SymmetricEigen(a);
-  double m = 0.0;
-  for (double lambda : eig.values) m = std::max(m, std::fabs(lambda));
-  return m;
-}
-
 }  // namespace dswm

@@ -43,12 +43,6 @@ struct EigenResult {
 [[nodiscard]] int TridiagonalQL(std::vector<double>* diag,
                                 std::vector<double>* sub, Matrix* zt);
 
-/// Largest eigenvalue magnitude max_i |lambda_i|, i.e. the spectral norm of
-/// a symmetric matrix, computed exactly from a full SymmetricEigen
-/// decomposition (tridiagonal QL). Prefer SpectralNormSym (spectral_norm.h)
-/// in hot paths.
-[[nodiscard]] double SpectralNormExact(const Matrix& a);
-
 }  // namespace dswm
 
 #endif  // DSWM_LINALG_SYMMETRIC_EIGEN_H_

@@ -39,10 +39,6 @@ Channel::Channel(int num_sites) : num_sites_(num_sites) {
 }
 
 void Channel::Send(Direction dir, int site, const WireMessage& msg) {
-  if (closed_) {
-    DSWM_OBS_COUNT("net.send_after_close", 1);
-    return;
-  }
   DSWM_OBS_COUNT("net.sends", 1);
   DSWM_OBS_HISTOGRAM("net.payload_words",
                      (std::vector<long>{1, 4, 16, 64, 256, 1024, 4096}),

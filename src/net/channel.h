@@ -36,7 +36,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -128,14 +127,6 @@ class Channel {
   /// due deliveries and retransmissions here, in deterministic order.
   virtual void AdvanceTime(Timestamp t) { now_ = t > now_ ? t : now_; }
 
-  /// Closes the transport. Idempotent. After Close() every Send and every
-  /// late delivery (a delayed frame flushed by AdvanceTime) is discarded
-  /// and counted (net.send_after_close / net.drop_after_close) -- never a
-  /// crash, so a handler that closes its own channel is benign. No caller
-  /// in src/ closes a channel; the lifecycle tests pin the contract.
-  virtual void Close() { closed_ = true; }
-  [[nodiscard]] bool closed() const { return closed_; }
-
   /// The transmission trace. The returned reference is only stable while
   /// no Send/AdvanceTime runs concurrently; callers read it after the run
   /// quiesces (the driver does so after the replay loop).
@@ -154,11 +145,6 @@ class Channel {
 
   /// Downcast hook so experiments can flip fault knobs mid-run.
   virtual FaultyChannel* AsFaulty() { return nullptr; }
-
-  /// Transport health: a custom backend reports its first unrecoverable
-  /// transport error here. Always OK for the in-process channels, and no
-  /// caller in src/ reads it.
-  [[nodiscard]] virtual Status Health() const { return Status::OK(); }
 
  protected:
   struct FrameInfo {
@@ -180,13 +166,8 @@ class Channel {
               bool retransmit, bool duplicate) DSWM_EXCLUDES(mu_);
 
   /// Invokes the handler (if any) with a delivered frame. Never called
-  /// with mu_ held: the handler may reenter Send. Deliveries that reach a
-  /// closed channel (late flushes during teardown) are discarded.
+  /// with mu_ held: the handler may reenter Send.
   void Handle(Delivery delivery) DSWM_EXCLUDES(mu_) {
-    if (closed_) {
-      DSWM_OBS_COUNT("net.drop_after_close", 1);
-      return;
-    }
     DSWM_OBS_COUNT("net.deliveries", 1);
     if (handler_) handler_(std::move(delivery));
   }
@@ -194,8 +175,6 @@ class Channel {
   /// Simulation clock. Mutated only by AdvanceTime/Send on the driving
   /// thread (the replay loop owns time); not part of the mu_ domain.
   Timestamp now_ = std::numeric_limits<Timestamp>::min() / 2;
-  /// Lifecycle latch; same single-driving-thread domain as now_.
-  bool closed_ = false;
 
  private:
   int num_sites_;
@@ -243,18 +222,6 @@ class FaultyChannel final : public Channel {
   [[nodiscard]] long in_flight() const DSWM_EXCLUDES(fault_mu_) {
     MutexLock lock(fault_mu_);
     return static_cast<long>(queue_.size());
-  }
-
-  /// Earliest queued due time, or nothing when no frame is in flight.
-  /// A caller can jump the clock straight to this instant instead of
-  /// polling tick by tick; the flush order is identical either way (the
-  /// queue delivers in (due, enqueue-order) regardless of how far the
-  /// clock jumps). No caller in src/ uses it; tests pin the contract.
-  [[nodiscard]] std::optional<Timestamp> NextDueTime() const
-      DSWM_EXCLUDES(fault_mu_) {
-    MutexLock lock(fault_mu_);
-    if (queue_.empty()) return std::nullopt;
-    return queue_.begin()->first.first;
   }
 
  protected:

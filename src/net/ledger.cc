@@ -50,17 +50,6 @@ void MessageLedger::Record(const LedgerEntry& entry) {
       break;
   }
   if (CarriesRow(entry.kind)) ++stats_.rows_sent;
-
-  KindStats& ks = by_kind_[static_cast<size_t>(entry.kind)];
-  ++ks.count;
-  ks.words += words;
-  ks.payload_bytes += pbytes;
-  ks.frame_bytes += fbytes;
-  if (entry.dropped) ++ks.dropped;
-}
-
-const KindStats& MessageLedger::ByKind(MessageKind kind) const {
-  return by_kind_[static_cast<size_t>(kind)];
 }
 
 void MessageLedger::AppendJsonl(std::string* out) const {

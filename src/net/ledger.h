@@ -5,13 +5,12 @@
 // The ledger is the single source of truth for communication accounting:
 // the legacy CommStats counters are *derived* from it (one word per 8
 // payload bytes, the paper's cost model), never hand-maintained by
-// protocol code. It also provides per-kind histograms and a JSONL dump
-// for observability (--trace-jsonl).
+// protocol code. It also provides a JSONL dump for observability
+// (--trace-jsonl).
 
 #ifndef DSWM_NET_LEDGER_H_
 #define DSWM_NET_LEDGER_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,20 +44,11 @@ struct LedgerEntry {
   bool duplicate = false;    // fault-injector duplication
 };
 
-/// Aggregate per message kind.
-struct KindStats {
-  long count = 0;     // transmission attempts
-  long words = 0;     // payload_words * copies summed
-  long payload_bytes = 0;
-  long frame_bytes = 0;
-  long dropped = 0;
-};
-
 /// Append-only trace of everything a channel sent.
 class MessageLedger {
  public:
   /// Records one transmission attempt and folds it into the derived
-  /// CommStats and per-kind aggregates.
+  /// CommStats.
   void Record(const LedgerEntry& entry);
 
   [[nodiscard]] const std::vector<LedgerEntry>& entries() const {
@@ -70,9 +60,6 @@ class MessageLedger {
   /// loss, which is exactly the cost the fault experiments measure.
   [[nodiscard]] const CommStats& stats() const { return stats_; }
 
-  /// Aggregates for one message kind.
-  [[nodiscard]] const KindStats& ByKind(MessageKind kind) const;
-
   /// Total payload bytes across all copies (== 8 * stats().TotalWords()).
   [[nodiscard]] long TotalPayloadBytes() const { return payload_bytes_; }
   /// Total on-the-wire bytes including frame headers and support indices.
@@ -83,7 +70,6 @@ class MessageLedger {
 
  private:
   std::vector<LedgerEntry> entries_;
-  std::array<KindStats, kMaxMessageKind + 1> by_kind_{};
   CommStats stats_;
   long payload_bytes_ = 0;
   long frame_bytes_ = 0;

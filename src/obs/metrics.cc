@@ -23,13 +23,6 @@ void AppendJsonString(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
-bool EndsWithWallNs(const std::string& name) {
-  static constexpr char kSuffix[] = ".wall_ns";
-  static constexpr size_t kLen = sizeof(kSuffix) - 1;
-  return name.size() >= kLen &&
-         name.compare(name.size() - kLen, kLen, kSuffix) == 0;
-}
-
 }  // namespace
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -68,24 +61,6 @@ void Histogram::ResetForTest() {
   sum_.store(0, std::memory_order_relaxed);
 }
 
-void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
-  for (const auto& [name, v] : other.counters) counters[name] += v;
-  for (const auto& [name, v] : other.gauges) gauges[name] = v;
-  for (const auto& [name, h] : other.histograms) {
-    auto it = histograms.find(name);
-    if (it == histograms.end()) {
-      histograms[name] = h;
-      continue;
-    }
-    DSWM_CHECK(it->second.edges == h.edges);
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      it->second.counts[i] += h.counts[i];
-    }
-    it->second.total_count += h.total_count;
-    it->second.sum += h.sum;
-  }
-}
-
 MetricsSnapshot MetricsSnapshot::DeltaSince(const MetricsSnapshot& base) const {
   MetricsSnapshot out = *this;
   for (const auto& [name, v] : base.counters) {
@@ -112,20 +87,6 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(const MetricsSnapshot& base) const {
   for (auto it = out.histograms.begin(); it != out.histograms.end();) {
     it = it->second.total_count == 0 ? out.histograms.erase(it)
                                      : std::next(it);
-  }
-  return out;
-}
-
-MetricsSnapshot MetricsSnapshot::WithoutWallTimes() const {
-  MetricsSnapshot out;
-  for (const auto& [name, v] : counters) {
-    if (!EndsWithWallNs(name)) out.counters[name] = v;
-  }
-  for (const auto& [name, v] : gauges) {
-    if (!EndsWithWallNs(name)) out.gauges[name] = v;
-  }
-  for (const auto& [name, h] : histograms) {
-    if (!EndsWithWallNs(name)) out.histograms[name] = h;
   }
   return out;
 }

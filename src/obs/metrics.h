@@ -102,7 +102,7 @@ struct HistogramSnapshot {
 };
 
 /// A point-in-time copy of every metric, keyed by name in sorted (stable)
-/// order. Snapshots are plain values: merge-able, diff-able, serializable.
+/// order. Snapshots are plain values: diff-able and serializable.
 struct MetricsSnapshot {
   std::map<std::string, long> counters;
   std::map<std::string, long> gauges;
@@ -112,10 +112,6 @@ struct MetricsSnapshot {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
 
-  /// Folds `other` in: counters and histogram buckets add; gauges take the
-  /// incoming value (last write wins, matching Gauge semantics).
-  void Merge(const MetricsSnapshot& other);
-
   /// Returns this snapshot minus `base`: counters and histogram buckets
   /// subtract (metrics absent from `base` are kept whole); gauges keep
   /// their current value. Counters whose delta is 0 and histograms with no
@@ -123,10 +119,6 @@ struct MetricsSnapshot {
   /// interval, independent of what earlier activity registered. Use to
   /// scope the process-cumulative registry to one run.
   [[nodiscard]] MetricsSnapshot DeltaSince(const MetricsSnapshot& base) const;
-
-  /// Drops every metric whose name ends in ".wall_ns" (the nondeterministic
-  /// wall-clock convention), leaving only deterministic metrics.
-  [[nodiscard]] MetricsSnapshot WithoutWallTimes() const;
 
   /// One JSON document: {"counters":{...},"gauges":{...},
   /// "histograms":{name:{"edges":[...],"counts":[...],"sum":n,"count":n}}}.

@@ -57,7 +57,5 @@ Span::~Span() {
   path.resize(static_cast<size_t>(restore_len_));
 }
 
-const char* Span::CurrentPath() { return ThreadPath().c_str(); }
-
 }  // namespace obs
 }  // namespace dswm

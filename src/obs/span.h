@@ -42,10 +42,6 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// The current thread's dot-joined phase path ("" outside any span).
-  /// Exposed for tests.
-  [[nodiscard]] static const char* CurrentPath();
-
  private:
   double* external_seconds_;
   int64_t start_ns_ = 0;

@@ -1,20 +1,22 @@
 // Cross-validation between independent implementations of the same
-// mathematics: the two SVD paths, spectral-norm estimators vs exact
-// eigenvalues, FD vs exact covariance on random sweeps, and mEH vs the
-// scalar gEH on the F-norm they both track.
+// mathematics: RightSvd vs a Krylov run on A^T A and against its own other
+// Gram route, spectral-norm estimators vs exact eigenvalues, FD vs exact
+// covariance on random sweeps, and mEH vs the scalar gEH on the F-norm
+// they both track.
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "linalg/bidiag_svd.h"
 #include "linalg/lanczos.h"
 #include "linalg/spectral_norm.h"
 #include "linalg/svd.h"
-#include "linalg/symmetric_eigen.h"
 #include "sketch/frequent_directions.h"
+#include "test_util.h"
 #include "window/exponential_histogram.h"
 #include "window/matrix_eh.h"
 
@@ -37,27 +39,78 @@ struct Shape {
   int d;
 };
 
+void PrintTo(const Shape& s, std::ostream* os) {
+  *os << "n=" << s.n << " d=" << s.d;
+}
+
 class SvdCrossValidation : public ::testing::TestWithParam<Shape> {};
 
-TEST_P(SvdCrossValidation, GramAndBidiagonalAgree) {
+TEST_P(SvdCrossValidation, RightSvdAndLanczosAgree) {
   const auto [n, d] = GetParam();
   const Matrix a = RandomMatrix(n, d, 7 * n + d, 0.5);
-  const SvdResult gram = ThinSvd(a, 1e-9);
-  const SvdResult bidiag = BidiagonalSvd(a, 1e-9);
-  ASSERT_EQ(gram.sigma.size(), bidiag.sigma.size());
-  for (size_t i = 0; i < gram.sigma.size(); ++i) {
-    EXPECT_NEAR(gram.sigma[i], bidiag.sigma[i], 1e-6 * bidiag.sigma[0])
+  const RightSvdResult svd = RightSvd(a);
+  const int r = std::min(n, d);
+
+  // Lanczos on A^T A, run until it breaks down or spans the whole space:
+  // every nonzero eigenvalue is then a Ritz value. It shares no code with
+  // RightSvd's dense tridiagonalization.
+  const Matrix c = GramTranspose(a);
+  Lanczos lanczos;
+  const std::vector<double> start(d, 1.0);
+  lanczos.Start(start.data(), d, d);
+  while (lanczos.Step(
+      [&c](const double* x, double* y) { MatVec(c, x, y); })) {
+  }
+  ASSERT_TRUE(lanczos.SolveRitz());
+  ASSERT_GE(static_cast<int>(lanczos.ritz_values().size()), r);
+  const double top = svd.sigma_squared[0];
+  for (int i = 0; i < r; ++i) {
+    EXPECT_NEAR(svd.sigma_squared[i], lanczos.ritz_values()[i], 1e-9 * top)
         << "i=" << i;
   }
-  // Right subspaces agree: every gram v_i has unit projection onto the
-  // bidiagonal basis restricted to (numerically) equal singular values.
-  // Spot-check the leading vector when it is isolated.
-  if (gram.sigma.size() >= 2 &&
-      gram.sigma[0] > 1.05 * gram.sigma[1]) {
-    const double dot =
-        std::fabs(Dot(gram.vt.Row(0), bidiag.vt.Row(0), d));
-    EXPECT_NEAR(dot, 1.0, 1e-6);
+
+  // The leading right vector, when its value is isolated, is the top Ritz
+  // vector up to sign.
+  if (r >= 2 && svd.sigma_squared[0] > 1.05 * svd.sigma_squared[1]) {
+    std::vector<double> y(d);
+    lanczos.RitzVector(0, y.data());
+    EXPECT_NEAR(std::fabs(Dot(svd.vt.Row(0), y.data(), d)), 1.0, 1e-8);
   }
+}
+
+// RightSvd(A) and RightSvd(A^T) take opposite Gram routes unless A is
+// square, where both take the short side's. Either way they must describe
+// one SVD: equal squared singular values, and A v_i = +-sigma_i u_i, where
+// the right vectors u_i of A^T are the left vectors of A.
+TEST_P(SvdCrossValidation, RightVectorsOfBothSidesPairUp) {
+  const auto [n, d] = GetParam();
+  const Matrix a = RandomMatrix(n, d, 7 * n + d, 0.5);
+  const RightSvdResult right = RightSvd(a);
+  const RightSvdResult left = RightSvd(Transpose(a));
+  const int r = std::min(n, d);
+  ASSERT_EQ(static_cast<int>(right.sigma_squared.size()), r);
+  ASSERT_EQ(static_cast<int>(left.sigma_squared.size()), r);
+  ASSERT_EQ(left.vt.cols(), n);
+  const double top = right.sigma_squared[0];
+  std::vector<double> av(n);
+  int paired = 0;
+  for (int i = 0; i < r; ++i) {
+    const double s2 = right.sigma_squared[i];
+    EXPECT_NEAR(left.sigma_squared[i], s2, 1e-10 * top) << "i=" << i;
+    // A singular vector is determined up to sign only when its value is
+    // separated from its neighbours.
+    const bool isolated =
+        (i == 0 || right.sigma_squared[i - 1] > 1.01 * s2) &&
+        (i + 1 == r || s2 > 1.01 * right.sigma_squared[i + 1]);
+    if (!isolated || s2 < 1e-6 * top) continue;
+    MatVec(a, right.vt.Row(i), av.data());
+    EXPECT_NEAR(NormSquared(av.data(), n), s2, 1e-9 * top) << "i=" << i;
+    EXPECT_NEAR(std::fabs(Dot(av.data(), left.vt.Row(i), n)), std::sqrt(s2),
+                1e-7 * std::sqrt(top))
+        << "i=" << i;
+    ++paired;
+  }
+  EXPECT_GT(paired, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, SvdCrossValidation,
@@ -81,10 +134,8 @@ TEST(SpectralCrossValidation, ThreeEstimatorsAgree) {
     ASSERT_TRUE(lanczos.SolveRitz());
     const double krylov =
         std::fabs(lanczos.ritz_values()[lanczos.TopIndex()]);
-    const double svd_based = BidiagonalSvd(a).sigma[0];
     EXPECT_NEAR(power, exact, 1e-5 * exact);
     EXPECT_NEAR(krylov, exact, 1e-10 * exact);
-    EXPECT_NEAR(svd_based * svd_based, exact, 1e-6 * exact);
   }
 }
 

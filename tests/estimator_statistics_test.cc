@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "core/sampling_tracker.h"
+#include "test_util.h"
 #include "window/exact_window.h"
 
 namespace dswm {

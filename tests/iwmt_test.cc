@@ -11,6 +11,7 @@
 #include "linalg/spectral_norm.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {

@@ -77,6 +77,9 @@ struct BatchedCase {
 
 class ThreadedBatchedEngine : public ::testing::TestWithParam<BatchedCase> {};
 
+// One SymmetricEigen per slot through one BatchedDispatch: the shape of the
+// driver's query-error fan-out (monitor/replay.cc), where every slot
+// decomposes a d x d error matrix.
 TEST_P(ThreadedBatchedEngine, SymEigenMatchesLoopedSequential) {
   const auto [dim, batch, threads] = GetParam();
 
@@ -86,17 +89,17 @@ TEST_P(ThreadedBatchedEngine, SymEigenMatchesLoopedSequential) {
     problems.push_back(
         RandomSymmetric(dim, 900 + 31ULL * dim + 7ULL * i));
   }
-  std::vector<const Matrix*> ptrs;
-  for (const Matrix& m : problems) ptrs.push_back(&m);
 
   // Looped oracle, always single-threaded-inline semantics.
   std::vector<EigenResult> looped;
   for (const Matrix& m : problems) looped.push_back(SymmetricEigen(m));
 
   ScopedThreads scoped(threads);
-  const std::vector<EigenResult> batched = BatchedSymEigen(ptrs);
+  std::vector<EigenResult> batched(batch);
+  BatchedDispatch(batch, [&problems, &batched](int i) {
+    batched[i] = SymmetricEigen(problems[i]);
+  });
 
-  ASSERT_EQ(batched.size(), static_cast<size_t>(batch));
   for (int i = 0; i < batch; ++i) {
     EXPECT_TRUE(BitIdenticalValues(batched[i].values, looped[i].values))
         << "problem " << i;

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {
@@ -104,6 +105,8 @@ TEST(SymmetricEigen, HandlesSlightAsymmetry) {
   EXPECT_LT(MaxAbsDiff(Reconstruct(eig), m), 1e-10);
 }
 
+// The test helper that the FD and cross-validation suites use as their
+// exact spectral-norm oracle: the largest |eigenvalue|, negative ones too.
 TEST(SpectralNormExact, MatchesMaxAbsEigenvalue) {
   Matrix m(2, 2);
   m(0, 0) = -7.0;

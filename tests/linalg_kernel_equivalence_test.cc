@@ -32,6 +32,7 @@
 #include "linalg/matrix.h"
 #include "linalg/spectral_norm.h"
 #include "linalg/symmetric_eigen.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {

@@ -7,6 +7,7 @@
 #include "linalg/qr.h"
 #include "linalg/spectral_norm.h"
 #include "linalg/symmetric_eigen.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/channel.h"
+#include "test_util.h"
 
 namespace dswm::net {
 namespace {
@@ -123,8 +126,9 @@ TEST(NetChannel, BroadcastChargesOneCopyPerSite) {
   EXPECT_EQ(channel.comm().words_down, 4);  // m words, the paper's cost
   EXPECT_EQ(channel.comm().broadcasts, 1);
   EXPECT_EQ(channel.ledger().TotalPayloadBytes(), 32);
-  EXPECT_EQ(channel.ledger().ByKind(MessageKind::kThresholdBroadcast).words,
-            4);
+  EXPECT_EQ(
+      TotalsOfKind(channel.ledger(), MessageKind::kThresholdBroadcast).words,
+      4);
 }
 
 TEST(NetChannel, CertainDropLosesDataButStillChargesWords) {
@@ -221,7 +225,7 @@ TEST(NetChannel, AcksOnlyExistInReliableMode) {
   sink.Attach(&reliable);
   reliable.AdvanceTime(0);
   reliable.Send(Direction::kUp, 0, WireMessage(SumDeltaMsg{1.0}));
-  EXPECT_EQ(reliable.ledger().ByKind(MessageKind::kAck).count, 1);
+  EXPECT_EQ(TotalsOfKind(reliable.ledger(), MessageKind::kAck).count, 1);
   EXPECT_EQ(reliable.comm().words_down, 1);  // the ack word
 
   p.reliable = false;
@@ -229,7 +233,7 @@ TEST(NetChannel, AcksOnlyExistInReliableMode) {
   sink.Attach(&unreliable);
   unreliable.AdvanceTime(0);
   unreliable.Send(Direction::kUp, 0, WireMessage(SumDeltaMsg{1.0}));
-  EXPECT_EQ(unreliable.ledger().ByKind(MessageKind::kAck).count, 0);
+  EXPECT_EQ(TotalsOfKind(unreliable.ledger(), MessageKind::kAck).count, 0);
   EXPECT_EQ(unreliable.comm().words_down, 0);
 }
 
@@ -362,75 +366,68 @@ TEST(NetChannel, CommCountersAreExactlyTheLedgerDerivation) {
   EXPECT_EQ(channel.ledger().TotalPayloadBytes(), 8 * (up + down));
 }
 
-// Delayed FaultyChannel delivery order is identical whether the clock is
-// polled tick by tick or jumped straight to NextDueTime, for both plain
-// delay and reliable drop/retry traffic.
-TEST(FaultyChannel, PolledAndEventDrivenDrainsAgree) {
-  net::NetProfile profile;
-  profile.drop = 0.3;
+// AdvanceTime flushes in (due, enqueue) order however far the clock
+// jumps: draining tick by tick and in one jump deliver the same frames in
+// the same order.
+TEST(FaultyChannel, TickByTickAndOneJumpDrainsAgree) {
+  NetProfile profile;
   profile.delay_min = 1;
-  profile.delay_max = 4;
+  profile.delay_max = 6;
   profile.seed = 99;
-  profile.reliable = true;
-  profile.retry = 2;
 
-  const auto drive = [&](bool event_driven) {
-    net::FaultyChannel channel(2, profile);
-    std::vector<std::pair<Timestamp, double>> delivered;
-    channel.SetHandler([&](net::Delivery d) {
-      if (const auto* sum = std::get_if<net::SumDeltaMsg>(&d.msg)) {
-        delivered.emplace_back(channel.now(), sum->delta);
+  const auto drive = [&](bool tick_by_tick) {
+    FaultyChannel channel(2, profile);
+    std::vector<double> delivered;
+    channel.SetHandler([&](Delivery d) {
+      if (const auto* sum = std::get_if<SumDeltaMsg>(&d.msg)) {
+        delivered.push_back(sum->delta);
       }
     });
     channel.AdvanceTime(0);
     for (int i = 0; i < 40; ++i) {
-      channel.Send(net::Direction::kUp, i % 2,
-                   net::WireMessage(net::SumDeltaMsg{static_cast<double>(i)}));
-      const Timestamp next = channel.now() + 1;
-      if (event_driven) {
-        // Jump only when something is due by `next`; otherwise advance
-        // straight to the row's own tick.
-        const auto due = channel.NextDueTime();
-        if (due && *due < next) channel.AdvanceTime(*due);
-        channel.AdvanceTime(next);
-      } else {
-        channel.AdvanceTime(next);
-      }
+      channel.Send(Direction::kUp, i % 2,
+                   WireMessage(SumDeltaMsg{static_cast<double>(i)}));
     }
-    // Flush the tail either way.
-    while (channel.in_flight() > 0) {
-      const auto due = channel.NextDueTime();
-      EXPECT_TRUE(due.has_value());
-      if (!due) break;
-      channel.AdvanceTime(*due);
+    EXPECT_EQ(channel.in_flight(), 40);
+    if (tick_by_tick) {
+      for (Timestamp t = 1; t <= 6; ++t) channel.AdvanceTime(t);
+    } else {
+      channel.AdvanceTime(6);
     }
+    EXPECT_EQ(channel.in_flight(), 0);
     return delivered;
   };
 
-  const auto polled = drive(false);
-  const auto evented = drive(true);
-  EXPECT_FALSE(polled.empty());
-  EXPECT_EQ(polled, evented);
+  const std::vector<double> ticked = drive(true);
+  const std::vector<double> jumped = drive(false);
+  EXPECT_EQ(ticked.size(), 40u);
+  EXPECT_EQ(ticked, jumped);
+  // The delays were drawn from [1, 6], so send order did not survive.
+  EXPECT_FALSE(std::is_sorted(ticked.begin(), ticked.end()));
 }
 
-TEST(FaultyChannel, NextDueTimeTracksTheQueueHead) {
-  net::NetProfile profile;
+TEST(FaultyChannel, DelayedFrameLandsAtItsDueTick) {
+  NetProfile profile;
   profile.delay_min = 3;
   profile.delay_max = 3;
   profile.seed = 1;
-  net::FaultyChannel channel(1, profile);
+  FaultyChannel channel(1, profile);
   int delivered = 0;
-  channel.SetHandler([&](net::Delivery) { ++delivered; });
+  channel.SetHandler([&](Delivery) { ++delivered; });
   channel.AdvanceTime(10);
-  EXPECT_FALSE(channel.NextDueTime().has_value());
-  channel.Send(net::Direction::kUp, 0,
-               net::WireMessage(net::SumDeltaMsg{1.0}));
-  ASSERT_TRUE(channel.NextDueTime().has_value());
-  EXPECT_EQ(*channel.NextDueTime(), 13);
+  channel.Send(Direction::kUp, 0, WireMessage(SumDeltaMsg{1.0}));
   EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(channel.in_flight(), 1);
+  channel.AdvanceTime(12);
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(channel.in_flight(), 1);
   channel.AdvanceTime(13);
   EXPECT_EQ(delivered, 1);
-  EXPECT_FALSE(channel.NextDueTime().has_value());
+  EXPECT_EQ(channel.in_flight(), 0);
+  // The clock never runs backwards, and nothing is delivered twice.
+  channel.AdvanceTime(5);
+  EXPECT_EQ(channel.now(), 13);
+  EXPECT_EQ(delivered, 1);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -176,19 +175,21 @@ TEST(NetFaultRecovery, DelayedFramesLandInsideTrackerCalls) {
     ASSERT_TRUE(made.ok()) << made.status().message();
     DistributedTracker* tracker = made.value().get();
 
-    // Frames still queued after a tracker call at tick `now`; none may be
-    // due by then.
+    // Frames still queued after a tracker call at tick `now`. None may be
+    // due by then, so advancing each channel to `now` again delivers
+    // nothing: its queue and its ledger stay as they were.
     const auto frames_in_flight = [tracker](Timestamp now) {
       long frames = 0;
       for (net::Channel* c : tracker->Channels()) {
-        const net::FaultyChannel* faulty = c->AsFaulty();
+        net::FaultyChannel* faulty = c->AsFaulty();
         EXPECT_NE(faulty, nullptr);
         if (faulty == nullptr) continue;
-        frames += faulty->in_flight();
-        const std::optional<Timestamp> due = faulty->NextDueTime();
-        if (due.has_value()) {
-          EXPECT_GT(*due, now);
-        }
+        const long queued = faulty->in_flight();
+        const size_t recorded = faulty->ledger().entries().size();
+        faulty->AdvanceTime(now);
+        EXPECT_EQ(faulty->in_flight(), queued);
+        EXPECT_EQ(faulty->ledger().entries().size(), recorded);
+        frames += queued;
       }
       return frames;
     };

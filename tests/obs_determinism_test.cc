@@ -17,6 +17,7 @@
 #include "monitor/driver.h"
 #include "obs/metrics.h"
 #include "stream/synthetic.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {
@@ -105,8 +106,8 @@ TEST_P(ObsDeterminism, ThreadedRunSameDeterministicMetrics) {
   ThreadPool::SetGlobalThreads(1);
 
   ExpectSameResult(single, threaded);
-  const obs::MetricsSnapshot a = single.result.metrics.WithoutWallTimes();
-  const obs::MetricsSnapshot b = threaded.result.metrics.WithoutWallTimes();
+  const obs::MetricsSnapshot a = WithoutWallTimes(single.result.metrics);
+  const obs::MetricsSnapshot b = WithoutWallTimes(threaded.result.metrics);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.gauges, b.gauges);
   EXPECT_EQ(a.histograms, b.histograms);
@@ -125,8 +126,8 @@ TEST(ObsDeterminism, RunSnapshotIsScopedToTheRun) {
   obs::Registry().ResetForTest();
   const RunOutput first = RunOnce(Algorithm::kDa2, rows);
   const RunOutput second = RunOnce(Algorithm::kDa2, rows);
-  const obs::MetricsSnapshot a = first.result.metrics.WithoutWallTimes();
-  const obs::MetricsSnapshot b = second.result.metrics.WithoutWallTimes();
+  const obs::MetricsSnapshot a = WithoutWallTimes(first.result.metrics);
+  const obs::MetricsSnapshot b = WithoutWallTimes(second.result.metrics);
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.histograms, b.histograms);
   obs::SetEnabled(false);

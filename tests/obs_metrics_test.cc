@@ -8,14 +8,27 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/span.h"
+#include "test_util.h"
 
 namespace dswm::obs {
 namespace {
+
+// Names of the span counters that recorded at least one span.
+std::set<std::string> RecordedSpans() {
+  std::set<std::string> names;
+  for (const auto& [name, v] : Registry().Snapshot().counters) {
+    if (v > 0 && name.starts_with("span.") && name.ends_with(".count")) {
+      names.insert(name);
+    }
+  }
+  return names;
+}
 
 class ObsTest : public ::testing::Test {
  protected:
@@ -78,25 +91,6 @@ TEST_F(ObsTest, GaugeLastWriteWins) {
   EXPECT_EQ(Registry().Snapshot().gauges.at("test.gauge"), 11);
 }
 
-TEST_F(ObsTest, SnapshotMerge) {
-  MetricsSnapshot a;
-  a.counters["c"] = 2;
-  a.gauges["g"] = 5;
-  a.histograms["h"] = HistogramSnapshot{{10}, {1, 0}, 1, 4};
-  MetricsSnapshot b;
-  b.counters["c"] = 3;
-  b.counters["only_b"] = 1;
-  b.gauges["g"] = 9;
-  b.histograms["h"] = HistogramSnapshot{{10}, {0, 2}, 2, 50};
-  a.Merge(b);
-  EXPECT_EQ(a.counters.at("c"), 5);          // counters add
-  EXPECT_EQ(a.counters.at("only_b"), 1);
-  EXPECT_EQ(a.gauges.at("g"), 9);            // gauges last-write-wins
-  EXPECT_EQ(a.histograms.at("h").counts, (std::vector<long>{1, 2}));
-  EXPECT_EQ(a.histograms.at("h").total_count, 3);
-  EXPECT_EQ(a.histograms.at("h").sum, 54);
-}
-
 TEST_F(ObsTest, DeltaSinceScopesARun) {
   Counter* c = Registry().GetCounter("test.delta");
   Gauge* g = Registry().GetGauge("test.delta_gauge");
@@ -117,7 +111,7 @@ TEST_F(ObsTest, WithoutWallTimesDropsExactlyTheSuffix) {
   s.counters["span.a.wall_ns"] = 123456;
   s.counters["wall_ns"] = 2;  // bare name, not the ".wall_ns" suffix: kept
   s.counters["a.wall_ns_total"] = 3;  // not the suffix, kept
-  const MetricsSnapshot d = s.WithoutWallTimes();
+  const MetricsSnapshot d = WithoutWallTimes(s);
   EXPECT_EQ(d.counters.count("span.a.count"), 1u);
   EXPECT_EQ(d.counters.count("span.a.wall_ns"), 0u);
   EXPECT_EQ(d.counters.count("wall_ns"), 1u);
@@ -157,17 +151,19 @@ TEST_F(ObsTest, ConcurrentCounterAddsAreExact) {
 
 TEST_F(ObsTest, SpanNestingBuildsDotPaths) {
   SetEnabled(true);
-  EXPECT_STREQ(Span::CurrentPath(), "");
   {
     Span outer("driver");
-    EXPECT_STREQ(Span::CurrentPath(), "driver");
-    {
-      Span inner("observe");
-      EXPECT_STREQ(Span::CurrentPath(), "driver.observe");
-    }
-    EXPECT_STREQ(Span::CurrentPath(), "driver");
+    { Span inner("observe"); }
+    // The first inner span cut the path back to "driver" when it closed,
+    // so its sibling nests under "driver", not under "driver.observe".
+    { Span inner("query"); }
   }
-  EXPECT_STREQ(Span::CurrentPath(), "");
+  // The outer span cut the path back to "".
+  { Span top("after"); }
+  EXPECT_EQ(RecordedSpans(),
+            (std::set<std::string>{"span.after.count", "span.driver.count",
+                                   "span.driver.observe.count",
+                                   "span.driver.query.count"}));
   const MetricsSnapshot snap = Registry().Snapshot();
   EXPECT_EQ(snap.counters.at("span.driver.count"), 1);
   EXPECT_EQ(snap.counters.at("span.driver.observe.count"), 1);
@@ -175,11 +171,16 @@ TEST_F(ObsTest, SpanNestingBuildsDotPaths) {
 }
 
 TEST_F(ObsTest, SpanDisabledIsInvisible) {
-  {
-    Span span("ghost");
-    EXPECT_STREQ(Span::CurrentPath(), "");
-  }
+  { Span span("ghost"); }
   EXPECT_TRUE(Registry().Snapshot().empty());
+  // A span opened while metrics are off pushes no phase: a span opened
+  // inside it once they are on records at the top level.
+  {
+    Span ghost("ghost");
+    SetEnabled(true);
+    Span inner("inner");
+  }
+  EXPECT_EQ(RecordedSpans(), (std::set<std::string>{"span.inner.count"}));
 }
 
 TEST_F(ObsTest, SpanAlwaysFeedsExternalAccumulator) {
@@ -198,17 +199,21 @@ TEST_F(ObsTest, SpanAlwaysFeedsExternalAccumulator) {
 
 TEST_F(ObsTest, PerThreadSpanPathsAreIndependent) {
   SetEnabled(true);
-  Span main_span("main_phase");
-  // A genuinely fresh thread (not a pooled worker) is the point: its
-  // thread_local span path must start empty.
-  std::thread worker([] {  // dswm-semlint: allow(raw-thread-outside-common)
-    // Fresh thread: no inherited path from the spawning thread.
-    EXPECT_STREQ(Span::CurrentPath(), "");
-    Span span("worker_phase");
-    EXPECT_STREQ(Span::CurrentPath(), "worker_phase");
-  });
-  worker.join();
-  EXPECT_STREQ(Span::CurrentPath(), "main_phase");
+  {
+    Span main_span("main_phase");
+    // A genuinely fresh thread (not a pooled worker) is the point: its
+    // thread_local span path must start empty, not under "main_phase".
+    std::thread worker([] {  // dswm-semlint: allow(raw-thread-outside-common)
+      Span span("worker_phase");
+    });
+    worker.join();
+    // The worker's span left this thread's path at "main_phase".
+    Span inner("inner");
+  }
+  EXPECT_EQ(RecordedSpans(),
+            (std::set<std::string>{"span.main_phase.count",
+                                   "span.main_phase.inner.count",
+                                   "span.worker_phase.count"}));
 }
 
 }  // namespace

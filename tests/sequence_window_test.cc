@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/tracker_factory.h"
 #include "linalg/spectral_norm.h"
+#include "test_util.h"
 #include "window/exact_window.h"
 #include "window/exponential_histogram.h"
 #include "window/matrix_eh.h"

@@ -10,6 +10,7 @@
 #include "linalg/spectral_norm.h"
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {
@@ -131,7 +132,7 @@ TEST(SumTracker, InjectedChannelCarriesTheDeltas) {
   // Every delta is a 1-word kSumDelta frame; the ledger and the derived
   // counters agree byte for byte.
   EXPECT_EQ(raw->ledger().TotalPayloadBytes(), 8 * raw->comm().TotalWords());
-  EXPECT_EQ(raw->ledger().ByKind(net::MessageKind::kSumDelta).words,
+  EXPECT_EQ(TotalsOfKind(raw->ledger(), net::MessageKind::kSumDelta).words,
             raw->comm().words_up);
 }
 

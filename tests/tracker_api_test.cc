@@ -14,6 +14,7 @@
 #include "core/tracker_factory.h"
 #include "monitor/driver.h"
 #include "stream/synthetic.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {

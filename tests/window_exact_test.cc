@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "stream/wiki_like.h"
+#include "test_util.h"
 
 namespace dswm {
 namespace {

@@ -17,6 +17,7 @@
 #include "stream/pamap_like.h"
 #include "stream/synthetic.h"
 #include "stream/wiki_like.h"
+#include "test_util.h"
 #include "window/exact_window.h"
 
 namespace dswm {
