@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/svd.h"
+#include "linalg/symmetric_eigen.h"
 #include "obs/metrics.h"
 
 namespace dswm {
@@ -29,8 +30,8 @@ void IwmtProtocol::Input(const double* row, double theta,
   DSWM_CHECK_GT(theta, 0.0);
   const int before = residual_.row_count();
   residual_.Append(row);
-  // The count grows by one unless an FD shrink ran first, which leaves
-  // every earlier row as an orthogonal sigma_i v_i.
+  // The count grows by one unless an FD shrink ran first, which rewrote
+  // every earlier row.
   if (residual_.row_count() != before + 1) {
     FactorShrunkRows(residual_.row_count() - 1);
   }
@@ -66,6 +67,21 @@ void IwmtProtocol::AllocateFactor() {
 void IwmtProtocol::FactorShrunkRows(int rows) {
   AllocateFactor();
   rank_ = 0;
+  if (residual_.ell() >= d_) {
+    // A lossless shrink leaves a triangular factor, not orthogonal rows:
+    // decompose their d x d Gram.
+    DSWM_OBS_COUNT("core.iwmt.shrink_eigensolves", 1);
+    const EigenResult eig =
+        SymmetricEigen(GramTransposePrefix(residual_.RowsMatrix(), rows));
+    for (int k = 0; k < d_; ++k) {
+      if (eig.values[k] <= 0.0) continue;
+      basis_.SetRow(rank_, eig.vectors.Row(k));
+      sigma2_[rank_++] = eig.values[k];
+    }
+    Rebase(rows);
+    return;
+  }
+  // A lossy shrink leaves orthogonal rows sigma_i v_i.
   for (int i = 0; i < rows; ++i) {
     const double* src = residual_.Row(i);
     const double s2 = NormSquared(src, d_);

@@ -1,6 +1,7 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
+#include <cmath>
 
 #if defined(__AVX__)
 #include <immintrin.h>
@@ -204,11 +205,14 @@ constexpr long kParallelMulAddThreshold = 1L << 16;
 }
 
 // One multiply-accumulate step of an accumulator chain: a separate
-// per-lane IEEE multiply and add, never fused, so results stay
-// bit-identical across the AVX and portable bodies.
+// per-lane IEEE multiply and add (a subtract under kSubtract, the
+// Cholesky update's step), never fused, so results stay bit-identical
+// across the AVX and portable bodies.
 #if defined(__AVX__)
+template <bool kSubtract = false>
 inline __m256d MulAdd(__m256d acc, __m256d a, __m256d b) {
-  return _mm256_add_pd(acc, _mm256_mul_pd(a, b));
+  const __m256d p = _mm256_mul_pd(a, b);
+  return kSubtract ? _mm256_sub_pd(acc, p) : _mm256_add_pd(acc, p);
 }
 #endif
 
@@ -347,9 +351,12 @@ inline void MatMulTileEdge(const Matrix& a, const Matrix& b, Matrix* c,
 }
 
 // Accumulates rows [r0, r1) of `a` into the kMr x kNr tile of `g` at
-// (i0, j0): g_tile += sum_r a(r, i0:)^T a(r, j0:). Adds onto the existing
-// tile so the SYRK kernel can flush between row blocks (interior tiles).
+// (i0, j0): g_tile += sum_r a(r, i0:)^T a(r, j0:), or -= under kSubtract.
+// Adds onto the existing tile so the SYRK kernel can flush between row
+// blocks (interior tiles). `g` may be `a` itself when rows [r0, r1) lie
+// above the tile (the Cholesky update).
 #if defined(__AVX__)
+template <bool kSubtract = false>
 inline void SyrkTileFull(const Matrix& a, int r0, int r1, Matrix* g, int i0,
                          int j0) {
   double* o0 = g->Row(i0) + j0;
@@ -370,17 +377,17 @@ inline void SyrkTileFull(const Matrix& a, int r0, int r1, Matrix* g, int i0,
     const __m256d b1 = _mm256_loadu_pd(ar + j0 + 4);
     const double* ai = ar + i0;
     __m256d av = _mm256_broadcast_sd(ai);
-    c00 = MulAdd(c00, av, b0);
-    c01 = MulAdd(c01, av, b1);
+    c00 = MulAdd<kSubtract>(c00, av, b0);
+    c01 = MulAdd<kSubtract>(c01, av, b1);
     av = _mm256_broadcast_sd(ai + 1);
-    c10 = MulAdd(c10, av, b0);
-    c11 = MulAdd(c11, av, b1);
+    c10 = MulAdd<kSubtract>(c10, av, b0);
+    c11 = MulAdd<kSubtract>(c11, av, b1);
     av = _mm256_broadcast_sd(ai + 2);
-    c20 = MulAdd(c20, av, b0);
-    c21 = MulAdd(c21, av, b1);
+    c20 = MulAdd<kSubtract>(c20, av, b0);
+    c21 = MulAdd<kSubtract>(c21, av, b1);
     av = _mm256_broadcast_sd(ai + 3);
-    c30 = MulAdd(c30, av, b0);
-    c31 = MulAdd(c31, av, b1);
+    c30 = MulAdd<kSubtract>(c30, av, b0);
+    c31 = MulAdd<kSubtract>(c31, av, b1);
   }
   _mm256_storeu_pd(o0, c00);
   _mm256_storeu_pd(o0 + 4, c01);
@@ -394,6 +401,7 @@ inline void SyrkTileFull(const Matrix& a, int r0, int r1, Matrix* g, int i0,
 #endif  // defined(__AVX__)
 
 // Runtime-bounded SYRK tile; also the interior fallback without AVX.
+template <bool kSubtract = false>
 inline void SyrkTile(const Matrix& a, int r0, int r1, Matrix* g, int i0,
                      int mr, int j0, int nr) {
   double acc[kMr][kNr];
@@ -407,7 +415,13 @@ inline void SyrkTile(const Matrix& a, int r0, int r1, Matrix* g, int i0,
     const double* aj = ar + j0;
     for (int p = 0; p < mr; ++p) {
       const double av = ai[p];
-      for (int q = 0; q < nr; ++q) acc[p][q] += av * aj[q];
+      for (int q = 0; q < nr; ++q) {
+        if constexpr (kSubtract) {
+          acc[p][q] -= av * aj[q];
+        } else {
+          acc[p][q] += av * aj[q];
+        }
+      }
     }
   }
   for (int p = 0; p < mr; ++p) {
@@ -654,6 +668,58 @@ Matrix GramTransposePrefix(const Matrix& a, int rows) {
 
 Matrix GramTranspose(const Matrix& a) {
   return GramTransposePrefix(a, a.rows());
+}
+
+bool ShiftedCholesky(const Matrix& m, double shift, double sign, Matrix* u) {
+  const int d = m.rows();
+  DSWM_CHECK_EQ(m.cols(), d);
+  DSWM_CHECK(u->rows() == d && u->cols() == d);
+  for (int i = 0; i < d; ++i) {
+    const double* mi = m.Row(i);
+    double* ui = u->Row(i);
+    for (int j = i; j < d; ++j) ui[j] = sign * mi[j];
+    ui[i] += shift;
+  }
+  // Left-looking by panels of kMr rows. Each panel row first loses the
+  // terms of every finished row above the panel, k ascending, through the
+  // SYRK tiles run with a subtract; then the panel is factored
+  // right-looking, each row losing the terms of the panel rows above it
+  // before its pivot divides it. Every upper element thus subtracts its
+  // terms in ascending k and then divides by its pivot, as an unblocked
+  // right-looking factorization would. Panels end at row d, so only the
+  // first, which has nothing to subtract, may be short; column tiles end
+  // at column d, so the first starts up to kNr - 1 columns left of the
+  // panel's diagonal. Those columns, and the tiles' other entries below
+  // the diagonal, are scratch, cleared at the end; only when the first
+  // tile would start left of column 0 is it cut to an edge tile.
+  const int first_panel = d % kMr == 0 ? std::min(d, kMr) : d % kMr;
+  for (int k0 = 0, k1 = first_panel; k0 < d; k0 = k1, k1 += kMr) {
+    if (k0 > 0) {
+      int j0 = d - kNr * ((d - k0 + kNr - 1) / kNr);
+      if (j0 < 0) {
+        SyrkTile<true>(*u, 0, k0, u, k0, kMr, k0, j0 + kNr - k0);
+        j0 += kNr;
+      }
+      for (; j0 < d; j0 += kNr) {
+#if defined(__AVX__)
+        SyrkTileFull<true>(*u, 0, k0, u, k0, j0);
+#else
+        SyrkTile<true>(*u, 0, k0, u, k0, kMr, j0, kNr);
+#endif
+      }
+    }
+    for (int k = k0; k < k1; ++k) {
+      double* uk = u->Row(k);
+      if (!(uk[k] > 0.0)) return false;  // also rejects NaN
+      const double pivot = std::sqrt(uk[k]);
+      for (int j = k; j < d; ++j) uk[j] /= pivot;
+      for (int i = k + 1; i < k1; ++i) {
+        Axpy(-uk[i], uk + i, u->Row(i) + i, d - i);
+      }
+    }
+  }
+  for (int i = 1; i < d; ++i) std::fill(u->Row(i), u->Row(i) + i, 0.0);
+  return true;
 }
 
 Matrix GramTransposeReference(const Matrix& a) {

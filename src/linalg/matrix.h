@@ -192,6 +192,18 @@ void MatTVec(const Matrix& a, const double* x, double* y);
 /// Rank-1-update oracle for GramTranspose (the pre-blocking kernel).
 [[nodiscard]] Matrix GramTransposeReference(const Matrix& a);
 
+/// Cholesky factorization U^T U = shift I + sign M of the symmetric d x d
+/// `m` (its upper triangle is read) into the d x d `u`, which may be `m`
+/// itself. Returns true with U upper triangular (zeros below the
+/// diagonal), or false at the first pivot that is not positive (NaN
+/// included), leaving `u` unspecified. Each element of U subtracts its
+/// terms in ascending k and then divides by its pivot, exactly as the
+/// unblocked right-looking factorization does, so the factor is
+/// bit-identical to it; the AVX and portable tiles order the same
+/// operations. About d^3 / 6 multiply-adds.
+[[nodiscard]] bool ShiftedCholesky(const Matrix& m, double shift, double sign,
+                                   Matrix* u);
+
 /// Returns A * A^T (rows x rows); used by the thin SVD on the short side.
 [[nodiscard]] Matrix Gram(const Matrix& a);
 

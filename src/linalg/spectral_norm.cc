@@ -10,31 +10,6 @@ namespace {
 // Relative margin of CertifyNormBelow (IWMT's kSchurMargin).
 constexpr double kCertifyMargin = 1e-6;
 
-// True if the Cholesky factorization of shift I + sign M runs to the end
-// with positive pivots. Right-looking on the upper triangle, row-major:
-// at step k row k becomes row k of the factor U (U^T U = shift I + sign
-// M), and each later row i loses U(k, i) times row k, one Axpy, so the
-// first non-positive pivot stops the factorization after k steps.
-bool ShiftedCholesky(const Matrix& m, double shift, double sign, Matrix* u) {
-  const int d = m.rows();
-  for (int i = 0; i < d; ++i) {
-    const double* mi = m.Row(i);
-    double* ui = u->Row(i);
-    for (int j = i; j < d; ++j) ui[j] = sign * mi[j];
-    ui[i] += shift;
-  }
-  for (int k = 0; k < d; ++k) {
-    double* uk = u->Row(k);
-    if (!(uk[k] > 0.0)) return false;  // also rejects NaN
-    const double pivot = std::sqrt(uk[k]);
-    for (int j = k; j < d; ++j) uk[j] /= pivot;
-    for (int i = k + 1; i < d; ++i) {
-      Axpy(-uk[i], uk + i, u->Row(i) + i, d - i);
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 double SpectralNormSym(const SymmetricApplyFn& apply, int d, int max_iters,

@@ -33,8 +33,10 @@ struct RightSvdResult {
 [[nodiscard]] RightSvdResult RightSvd(const Matrix& a);
 
 /// Two-pass modified Gram-Schmidt re-orthonormalization of the first `r`
-/// rows of `m` against each other; stabilizes vectors recovered through
-/// near-degenerate Gram eigenpairs. Row i depends only on rows j < i, so
+/// rows of `m` against each other. It repairs the wide route (n <= d),
+/// whose v_i = A^T u_i / sigma_i divides by a sigma that may sit near the
+/// rounding floor and then loses orthogonality; near-degenerate
+/// eigenpairs alone do not need it. Row i depends only on rows j < i, so
 /// orthonormalizing a prefix matches orthonormalizing the full set on
 /// that prefix. Zero rows stay zero.
 void OrthonormalizeRows(Matrix* m, int r);

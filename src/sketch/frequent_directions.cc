@@ -33,6 +33,20 @@ void FrequentDirections::Shrink() {
   if (count_ <= ell_) return;
   DSWM_OBS_COUNT("sketch.fd.shrinks", 1);
   const int n = count_;
+  if (ell_ >= d_) {
+    // Lossless: l >= d keeps every direction (delta = 0), and any R with
+    // R^T R = B^T B is the same sketch, so the Gram's Cholesky factor
+    // replaces the eigendecomposition. A (numerically) singular Gram can
+    // stop it at a pivot that is not positive; that shrink takes the
+    // eigen route below.
+    Matrix u = GramTransposePrefix(buffer_, n);
+    if (ShiftedCholesky(u, 0.0, 1.0, &u)) {
+      DSWM_OBS_COUNT("sketch.fd.cholesky_shrinks", 1);
+      for (int i = 0; i < d_; ++i) buffer_.SetRow(i, u.Row(i));
+      count_ = d_;
+      return;
+    }
+  }
   const int r = std::min(n, d_);
 
   // Eigendecompose through the Gram matrix of the short side (<= 2l or d),

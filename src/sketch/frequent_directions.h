@@ -5,6 +5,12 @@
 // unit x, where Delta is the total shrinkage (sum of the per-shrink
 // subtracted sigma^2). Choosing l ~ 1/eps gives an eps-covariance sketch.
 //
+// A shrink with l >= d is lossless (Delta does not grow): it keeps the
+// Gram's upper-triangular Cholesky factor, d rows, and falls back to the
+// eigendecomposition only when the Gram is singular. So the rows are the
+// orthogonal sigma_i v_i only after a lossy shrink (l < d) or a fallback;
+// only B^T B is the sketch's contract.
+//
 // Used by: the matrix exponential histogram buckets (mEH, [17]), the IWMT
 // protocol inside DA2 ([1]), and as the centralized baseline.
 

@@ -323,6 +323,11 @@ std::vector<DigestCase> Cases() {
        0xf9593d43274e3709},
       {"perf-central-pamap", A::kCentral, Perf(kPamap, 43, 3500, 1000),
        0xc094ddd40fcc6e09},
+      // The coordinator's buckets keep l = 60 >= d = 43 rows and, in a
+      // window of 10,000 ticks, grow past 2l: their FD shrinks are the
+      // lossless Cholesky route (LosslessShrink below).
+      {"lossless-central-pamap", A::kCentral, Perf(kPamap, 43, 14000, 10000),
+       0x03b0d296ab04d5b1},
   };
 }
 
@@ -360,6 +365,26 @@ TEST_P(DigestGate, MatchesCommitted) {
 }
 
 INSTANTIATE_TEST_SUITE_P(, DigestGate, ::testing::ValuesIn(Cases()));
+
+// The lossless case reaches the Cholesky shrink, and only it: no shrink
+// of the run falls back to the eigendecomposition.
+TEST(LosslessShrink, CentralPamapCaseShrinksByCholesky) {
+  const std::vector<DigestCase> cases = Cases();
+  const auto c = std::find_if(cases.begin(), cases.end(), [](const auto& x) {
+    return std::string(x.name) == "lossless-central-pamap";
+  });
+  ASSERT_NE(c, cases.end());
+  obs::SetEnabled(true);
+  const RunResult r = RunCase(*c, Generate(c->spec));
+  obs::SetEnabled(false);
+  const auto count = [&r](const char* name) {
+    const auto it = r.metrics.counters.find(name);
+    return it == r.metrics.counters.end() ? 0L : it->second;
+  };
+  EXPECT_GT(count("sketch.fd.cholesky_shrinks"), 0);
+  EXPECT_EQ(count("sketch.fd.cholesky_shrinks"), count("sketch.fd.shrinks"));
+  EXPECT_EQ(count("linalg.eigen.calls"), 0);
+}
 
 }  // namespace
 }  // namespace dswm

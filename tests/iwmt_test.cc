@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "linalg/spectral_norm.h"
 #include "linalg/svd.h"
+#include "linalg/symmetric_eigen.h"
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -344,6 +345,13 @@ TEST_P(IwmtTrigger, MatchesFullDecompositionReference) {
   if (c.stream == Stream::kIsotropic && c.flush_every == 0) {
     EXPECT_GT(shrinks, 0);
   }
+  // Only a lossless residual (l >= d) leaves shrunk rows that are not
+  // orthogonal, and only then is the factor an eigensolve.
+  if (c.ell < c.d) {
+    EXPECT_EQ(count("core.iwmt.shrink_eigensolves"), 0);
+  } else if (shrinks > 0) {
+    EXPECT_GT(count("core.iwmt.shrink_eigensolves"), 0);
+  }
 }
 
 // The trigger as it was before its Cholesky factor outlived a certificate
@@ -410,6 +418,17 @@ class RefactoringIwmt {
   void FactorShrunkRows(int rows) {
     AllocateFactor();
     rank_ = 0;
+    if (residual_.ell() >= d_) {
+      const EigenResult eig =
+          SymmetricEigen(GramTransposePrefix(residual_.RowsMatrix(), rows));
+      for (int k = 0; k < d_; ++k) {
+        if (eig.values[k] <= 0.0) continue;
+        basis_.SetRow(rank_, eig.vectors.Row(k));
+        sigma2_[rank_++] = eig.values[k];
+      }
+      Rebase(rows);
+      return;
+    }
     for (int i = 0; i < rows; ++i) {
       const double* src = residual_.Row(i);
       const double s2 = NormSquared(src, d_);
@@ -587,7 +606,8 @@ TEST_P(IwmtTrigger, MatchesRefactoringCertificate) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, IwmtTrigger,
     ::testing::Values(
-        // d = 4 < 2 * ell: FD shrinks through the d x d Gram (n > d).
+        // d = 4 <= ell = 5: every FD shrink is lossless, a Cholesky of the
+        // d x d Gram, and the factor decomposes the shrunk rows' Gram.
         TriggerCase{4, 5, Stream::kIsotropic, Theta::kGrowing, 0, 800},
         TriggerCase{4, 5, Stream::kIsotropic, Theta::kShrinking, 0, 800},
         // d = 43 < 2 * ell = 50 (n > d); d = 128 > 2 * ell = 80 (n <= d).

@@ -14,6 +14,8 @@
 //
 // The Krylov primitives (Lanczos, CertifyNormBelow) are checked against
 // SymmetricEigen on the same matrix families: to rounding, not bitwise.
+// ShiftedCholesky, which CertifyNormBelow and FD's lossless shrink run, is
+// memcmp-checked against its unblocked right-looking loop.
 
 #include <algorithm>
 #include <cfloat>
@@ -643,6 +645,101 @@ TEST_P(KrylovAgainstEigen, CertifyNormBelowNeverTrueBelowNorm) {
 INSTANTIATE_TEST_SUITE_P(Dims, KrylovAgainstEigen,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31,
                                            43, 127, 128, 129, 200));
+
+// ShiftedCholesky before its tiles, kept as the oracle: right-looking on
+// the upper triangle, row-major; at step k row k becomes row k of U and
+// each later row i loses U(k, i) times row k, one Axpy, so the first
+// pivot that is not positive stops it after k steps.
+bool OracleShiftedCholesky(const Matrix& m, double shift, double sign,
+                           Matrix* u) {
+  const int d = m.rows();
+  for (int i = 0; i < d; ++i) {
+    const double* mi = m.Row(i);
+    double* ui = u->Row(i);
+    for (int j = i; j < d; ++j) ui[j] = sign * mi[j];
+    ui[i] += shift;
+  }
+  for (int k = 0; k < d; ++k) {
+    double* uk = u->Row(k);
+    if (!(uk[k] > 0.0)) return false;
+    const double pivot = std::sqrt(uk[k]);
+    for (int j = k; j < d; ++j) uk[j] /= pivot;
+    for (int i = k + 1; i < d; ++i) {
+      Axpy(-uk[i], uk + i, u->Row(i) + i, d - i);
+    }
+  }
+  return true;
+}
+
+struct CholeskyInput {
+  std::string name;
+  Matrix m;
+  double shift;
+  double sign;
+};
+
+// FD's lossless shrink (a Gram, shift 0, sign +1; full rank, and singular
+// so that it stops) and CertifyNormBelow's two factorizations of b I -/+ M
+// on both sides of the norm, so some run to the end and some stop.
+std::vector<CholeskyInput> CholeskyInputs(int d) {
+  const uint64_t seed = 4000 + static_cast<uint64_t>(d);
+  std::vector<CholeskyInput> inputs;
+  inputs.push_back(
+      {"gram", GramTranspose(RandomMatrix(2 * d + 5, d, seed)), 0.0, 1.0});
+  Matrix low_rank = RandomMatrix(2 * d + 5, d, seed + 1);
+  for (int i = 0; i < low_rank.rows(); ++i) {
+    for (int j = d / 2; j < d; ++j) low_rank(i, j) = 0.0;
+  }
+  inputs.push_back({"singular_gram", GramTranspose(low_rank), 0.0, 1.0});
+  const Matrix m = SymmetricGaussian(d, seed + 2);
+  const EigenResult eig = SymmetricEigen(m);
+  const double norm = NormOf(eig);
+  for (const double sign : {-1.0, 1.0}) {
+    const std::string side = sign < 0.0 ? "bI-M" : "bI+M";
+    inputs.push_back({side + "_above_norm", m, 1.01 * norm, sign});
+    inputs.push_back({side + "_below_norm", m, 0.9 * norm, sign});
+  }
+  return inputs;
+}
+
+class CholeskyEquivalence : public ::testing::TestWithParam<int> {};
+
+// The tiled factorization stops exactly where the right-looking loop does
+// and, when both run to the end, its factor is memcmp-equal, with zeros
+// below the diagonal, whatever `u` held before and when `u` is `m` itself.
+TEST_P(CholeskyEquivalence, BitIdenticalToRightLookingLoop) {
+  const int d = GetParam();
+  int completed = 0;
+  int stopped = 0;
+  for (const CholeskyInput& input : CholeskyInputs(d)) {
+    SCOPED_TRACE(input.name);
+    Matrix want(d, d);
+    const bool want_ok =
+        OracleShiftedCholesky(input.m, input.shift, input.sign, &want);
+    Matrix got = RandomMatrix(d, d, 13);
+    const bool got_ok = ShiftedCholesky(input.m, input.shift, input.sign, &got);
+    Matrix in_place = input.m;
+    const bool in_place_ok =
+        ShiftedCholesky(in_place, input.shift, input.sign, &in_place);
+    ASSERT_EQ(got_ok, want_ok);
+    ASSERT_EQ(in_place_ok, want_ok);
+    if (!want_ok) {
+      ++stopped;
+      continue;
+    }
+    ++completed;
+    EXPECT_TRUE(BitIdentical(got, want));
+    EXPECT_TRUE(BitIdentical(in_place, want));
+  }
+  EXPECT_GT(completed, 0);
+  if (d > 1) {
+    EXPECT_GT(stopped, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, CholeskyEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 31,
+                                           43, 127, 128, 129));
 
 // A start vector in an invariant subspace ends the run: one eigenvector
 // after one step, the span of three after three, with exact Ritz pairs.

@@ -1,15 +1,19 @@
 #include "sketch/frequent_directions.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "linalg/qr.h"
 #include "linalg/spectral_norm.h"
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace dswm {
@@ -182,6 +186,103 @@ TEST(FrequentDirections, ZeroCopyShrinkMatchesLegacyShrink) {
         << "d=" << d << " ell=" << ell;
   }
 }
+
+// l >= d: every shrink is lossless. Rows in general position shrink by
+// the Gram's Cholesky factor. Rows confined to a k < d subspace give a
+// singular Gram: on the first k coordinates, its factorization meets an
+// exact zero pivot and falls back to the eigendecomposition; on a rotated
+// subspace rounding decides whether it stops. Either way B^T B stays
+// A^T A to rounding, nothing is shrunk away, and a shrink leaves at most
+// d rows.
+enum class Span { kFull, kCoordinates, kRotated };
+
+const char* SpanName(Span span) {
+  switch (span) {
+    case Span::kFull:
+      return "full";
+    case Span::kCoordinates:
+      return "coordinates";
+    case Span::kRotated:
+      return "rotated";
+  }
+  return "";
+}
+
+struct LosslessCase {
+  int d;
+  int ell;
+  Span span;
+};
+
+class FdLossless : public ::testing::TestWithParam<LosslessCase> {};
+
+TEST_P(FdLossless, KeepsTheGramAndAtMostDRows) {
+  const auto [d, ell, span] = GetParam();
+  const int k = span == Span::kFull ? d : d / 2;
+  const uint64_t seed = 500 + static_cast<uint64_t>(d) +
+                        static_cast<uint64_t>(span);
+  const int n = 2 * ell + 4 * (2 * ell - d) + 7;  // at least 4 shrinks
+  Matrix input(n, d);
+  const Matrix coefficients = RandomRows(n, k, seed);
+  if (span == Span::kRotated) {
+    Rng rng(seed + 1);
+    input = MatMul(coefficients, RandomOrthonormalRows(k, d, &rng));
+  } else {
+    for (int i = 0; i < n; ++i) {
+      std::copy(coefficients.Row(i), coefficients.Row(i) + k, input.Row(i));
+    }
+  }
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const obs::MetricsSnapshot before = obs::Registry().Snapshot();
+  FrequentDirections fd(d, ell);
+  int shrinks = 0;
+  for (int i = 0; i < n; ++i) {
+    const int rows_before = fd.row_count();
+    fd.Append(input.Row(i));
+    if (fd.row_count() != rows_before + 1) {
+      ++shrinks;
+      // The shrink left at most d rows; the row just appended follows.
+      EXPECT_LE(fd.row_count() - 1, d) << "row " << i;
+    }
+  }
+  const obs::MetricsSnapshot delta =
+      obs::Registry().Snapshot().DeltaSince(before);
+  obs::SetEnabled(was_enabled);
+  const auto count = [&delta](const char* name) {
+    const auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? 0L : it->second;
+  };
+
+  EXPECT_GE(shrinks, 3);
+  EXPECT_EQ(count("sketch.fd.shrinks"), shrinks);
+  if (span == Span::kFull) {
+    EXPECT_EQ(count("sketch.fd.cholesky_shrinks"), shrinks);
+  } else if (span == Span::kCoordinates) {
+    EXPECT_EQ(count("sketch.fd.cholesky_shrinks"), 0);
+  }
+  EXPECT_DOUBLE_EQ(fd.shrinkage(), 0.0);
+  const Matrix exact = GramTranspose(input);
+  EXPECT_LE(MaxAbsDiff(fd.Covariance(), exact),
+            1e-12 * SpectralNormExact(exact));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, FdLossless,
+    ::testing::Values(LosslessCase{4, 5, Span::kFull},
+                      LosslessCase{43, 60, Span::kFull},
+                      LosslessCase{128, 180, Span::kFull},
+                      LosslessCase{4, 5, Span::kCoordinates},
+                      LosslessCase{43, 60, Span::kCoordinates},
+                      LosslessCase{128, 180, Span::kCoordinates},
+                      LosslessCase{4, 5, Span::kRotated},
+                      LosslessCase{43, 60, Span::kRotated},
+                      LosslessCase{128, 180, Span::kRotated}),
+    [](const ::testing::TestParamInfo<LosslessCase>& info) {
+      return "d" + std::to_string(info.param.d) + "_ell" +
+             std::to_string(info.param.ell) + "_" + SpanName(info.param.span);
+    });
 
 TEST(FrequentDirections, AdversarialSingleHeavyDirection) {
   // One giant direction among noise must survive sketching.
